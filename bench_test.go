@@ -368,7 +368,7 @@ func BenchmarkReannounceSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkPacketEncode times probe marshaling, the per-probe hot path.
+// BenchmarkPacketEncode times marshaling one echo request to the wire format.
 func BenchmarkPacketEncode(b *testing.B) {
 	src := ipv4.MustParseAddr("198.18.0.1")
 	dst := ipv4.MustParseAddr("100.1.2.3")
@@ -381,7 +381,7 @@ func BenchmarkPacketEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkPacketDecode times reply parsing at the collector.
+// BenchmarkPacketDecode times parsing one echo reply from the wire format.
 func BenchmarkPacketDecode(b *testing.B) {
 	raw := packet.MarshalEcho(ipv4.MustParseAddr("100.1.2.3"),
 		ipv4.MustParseAddr("198.18.0.1"), packet.ICMPEchoReply, 7, 9, nil)

@@ -39,7 +39,7 @@ func testNet(t *testing.T, seed uint64) (*topology.Topology, *dataplane.Net, *te
 	namer := &testNamer{names: []string{"b1-lax", "b2-mia"}}
 	for s := 0; s < 2; s++ {
 		s := s
-		net.AttachSite(s, func([]byte) {}, func(q []byte) []byte {
+		net.AttachSite(s, func(q []byte) []byte {
 			msg, err := dnswire.Unmarshal(q)
 			if err != nil {
 				t.Fatalf("site handler got bad query: %v", err)

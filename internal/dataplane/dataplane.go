@@ -35,7 +35,6 @@ import (
 	"verfploeter/internal/faults"
 	"verfploeter/internal/ipv4"
 	"verfploeter/internal/obsv"
-	"verfploeter/internal/packet"
 	"verfploeter/internal/topology"
 	"verfploeter/internal/vclock"
 )
@@ -158,10 +157,10 @@ func (s Stats) PublishObs(r *obsv.Registry) {
 // # Concurrency contract
 //
 // A Net is confined to one goroutine at a time: it shares a virtual
-// clock with its callers, and every packet path (SendProbe,
-// QueryAnycast, tap delivery during clock advancement) mutates counters
-// and the event queue without locks, by design — single-threaded
-// execution over a virtual clock is what makes runs reproducible.
+// clock with its callers, and every packet path (SendEcho, QueryAnycast)
+// mutates counters and feeds the reply sink without locks, by design —
+// single-threaded execution over a virtual clock is what makes runs
+// reproducible.
 // Parallelism happens *around* the Net, never inside it: the parallel
 // mapping engine gives each probe chunk, measurement round, and
 // experiment its own Fork and merges results deterministically. The
@@ -176,10 +175,12 @@ type Net struct {
 	asg     *bgp.Assignment
 	testAsg *bgp.Assignment
 	round   uint32
-	taps    []func(pkt []byte)
-	dns     []func(query []byte) []byte
-	stats   Stats
-	busy    atomic.Bool
+	// dns holds one DNS handler (possibly nil) per attached site; its
+	// length is the attached-site count, which Fork inherits. A reply
+	// whose catchment site is not attached is never captured.
+	dns   []func(query []byte) []byte
+	stats Stats
+	busy  atomic.Bool
 
 	// icmpSent counts reply bursts per /24 for the current round, for
 	// the fault profile's ICMP rate limit. It resets on SetRound and is
@@ -189,29 +190,26 @@ type Net struct {
 	// per-fork count is deterministic at any worker count.
 	icmpSent map[ipv4.Block]int
 
-	// sink, when set, receives parsed echo replies directly instead of
-	// marshaled frames through the site taps. See SetReplySink.
+	// sink receives every captured echo reply. See SetReplySink.
 	sink ReplySink
 }
 
 // ReplySink receives one echo reply in parsed form: the capturing site,
 // the reply's source address, its ICMP ident/seq, and the virtual time
-// the frame would have arrived. Delivery happens synchronously inside
-// SendProbe/SendEcho — at send time, not at the arrival timestamp — so
-// a sink may observe replies "from the future"; consumers that care
-// about arrival order sort by at, and consumers modeling a live view
-// filter at <= now.
+// it arrives at the site. It models the per-site packet captures of
+// §3.1 feeding one central analysis. Delivery happens synchronously
+// inside SendEcho — at send time, not at the arrival timestamp — so a
+// sink may observe replies "from the future"; consumers that care about
+// arrival order sort by at, and consumers modeling a live view filter
+// at <= now.
 type ReplySink func(site int, from ipv4.Addr, ident, seq uint16, at time.Duration)
 
-// SetReplySink installs fn as the reply fast path: every reply that
-// would be marshaled and scheduled onto a site tap is instead handed to
-// fn immediately, with the identical site, source, ident, seq, and
-// arrival time. This removes three allocations per reply copy (the
-// frame, the delivery closure, the clock event) and the re-parse at the
-// tap — the dominant cost of an internet-scale sweep — without touching
-// the impairment or fault coins, which depend only on (seed, block,
-// round[, seq]). Site taps still gate delivery (a site without a tap
-// captures nothing) but are not called. Forks do not inherit the sink.
+// SetReplySink installs fn as the capture path: every reply the data
+// plane delivers to an attached site is handed to fn with its site,
+// source, ident, seq, and arrival time. No frame is marshaled and no
+// clock event is scheduled, so delivery costs no allocation. A Net
+// without a sink counts its replies and drops them. Forks do not
+// inherit the sink.
 func (n *Net) SetReplySink(fn ReplySink) { n.sink = fn }
 
 // Errors surfaced to callers.
@@ -231,26 +229,25 @@ func New(cfg Config) *Net {
 
 // Fork returns an independent Net over the same topology, seed,
 // impairments, fault profile, and prefixes, driven by its own clock:
-// same routing state (assignments, round), fresh taps, DNS handlers,
-// counters, and ICMP rate-limit state. The parallel mapping engine forks
-// the Net once per probe chunk or round so each worker owns a whole
-// single-threaded simulation; because every impairment and injected
-// fault is a deterministic function of (seed, block, round[, seq]), a
-// fork delivers exactly the packets the parent would.
+// same routing state (assignments, round) and attached sites, fresh DNS
+// handlers, reply sink, counters, and ICMP rate-limit state. The
+// parallel mapping engine forks the Net once per probe chunk or round so
+// each worker owns a whole single-threaded simulation; because every
+// impairment and injected fault is a deterministic function of (seed,
+// block, round[, seq]), a fork delivers exactly the packets the parent
+// would.
 func (n *Net) Fork(clock *vclock.Clock) *Net {
 	cfg := n.cfg
 	cfg.Clock = clock
 	f := New(cfg)
 	f.asg, f.testAsg, f.round = n.asg, n.testAsg, n.round
-	if len(n.taps) > 0 {
-		f.grow(len(n.taps) - 1)
-	}
+	f.dns = make([]func(query []byte) []byte, len(n.dns))
 	return f
 }
 
 // enter asserts the single-goroutine contract on packet paths; leave is
 // its counterpart. One uncontended atomic CAS per packet — noise next to
-// parsing and delivery — buys a crash instead of silent corruption when
+// the impairment coins and delivery — buys a crash instead of silent corruption when
 // two goroutines share a Net.
 func (n *Net) enter() {
 	if !n.busy.CompareAndSwap(false, true) {
@@ -260,35 +257,17 @@ func (n *Net) enter() {
 
 func (n *Net) leave() { n.busy.Store(false) }
 
-// AttachSite registers the capture tap and DNS handler for a site. Either
-// handler may be nil. Sites must be attached densely from 0.
-func (n *Net) AttachSite(site int, tap func(pkt []byte), dns func(query []byte) []byte) {
-	n.grow(site)
-	n.taps[site] = tap
-	n.dns[site] = dns
-}
-
-// SetTap replaces only the capture tap of a site — measurements swap taps
-// per round without disturbing the service's DNS front end.
-func (n *Net) SetTap(site int, tap func(pkt []byte)) {
-	n.grow(site)
-	n.taps[site] = tap
-}
-
-// SetDNS replaces only the DNS handler of a site.
-func (n *Net) SetDNS(site int, dns func(query []byte) []byte) {
-	n.grow(site)
-	n.dns[site] = dns
-}
-
-func (n *Net) grow(site int) {
+// AttachSite attaches a site, so it captures the replies of its
+// catchment, and registers (or replaces) its DNS handler, which may be
+// nil. Sites must be attached densely from 0.
+func (n *Net) AttachSite(site int, dns func(query []byte) []byte) {
 	if site < 0 {
 		panic("dataplane: negative site")
 	}
-	for len(n.taps) <= site {
-		n.taps = append(n.taps, nil)
+	for len(n.dns) <= site {
 		n.dns = append(n.dns, nil)
 	}
+	n.dns[site] = dns
 }
 
 // SetAssignment installs the routing epoch (which catchment each block
@@ -341,30 +320,11 @@ func (n *Net) hash(kind string, block ipv4.Block, round uint32) float64 {
 	return float64(h&0xfffffffffffff) / float64(1<<52)
 }
 
-// SendProbe injects one marshaled IPv4+ICMP echo request from the anycast
-// measurement address (at originSite) toward a hitlist target. Replies —
-// zero, one, or many — are scheduled onto the catchment site's tap.
-func (n *Net) SendProbe(originSite int, raw []byte) error {
-	n.enter()
-	defer n.leave()
-	n.stats.ProbesSent++
-	if n.asg == nil {
-		return ErrNoAssignment
-	}
-	probe, err := packet.UnmarshalEcho(raw)
-	if err != nil {
-		n.stats.BadPackets++
-		return fmt.Errorf("dataplane: malformed probe: %w", err)
-	}
-	return n.sendEcho(originSite, probe.IP.Src, probe.IP.Dst,
-		probe.Echo.Ident, probe.Echo.Seq, probe.Echo.Payload)
-}
-
-// SendEcho is SendProbe without the wire format: it injects an echo
-// request given directly as (source, target, ident, seq). The probe
-// sweep uses it to skip one marshal and one parse per probe; every
-// counter, impairment coin, and fault decision is identical to sending
-// the equivalent marshaled frame, because none of them read raw bytes.
+// SendEcho injects one ICMP echo request from the anycast measurement
+// address src (at originSite) toward a hitlist target dst. Replies —
+// zero, one, or many — go to the reply sink, tagged with the catchment
+// site that captures them. The probe travels as parsed fields: no
+// counter, impairment coin, or fault decision reads wire bytes.
 func (n *Net) SendEcho(originSite int, src, dst ipv4.Addr, ident, seq uint16) error {
 	n.enter()
 	defer n.leave()
@@ -372,13 +332,13 @@ func (n *Net) SendEcho(originSite int, src, dst ipv4.Addr, ident, seq uint16) er
 	if n.asg == nil {
 		return ErrNoAssignment
 	}
-	return n.sendEcho(originSite, src, dst, ident, seq, nil)
+	return n.sendEcho(originSite, src, dst, ident, seq)
 }
 
 // sendEcho carries a probe through prefix validation, the impairment
 // and fault gauntlet, and reply delivery. Counters must be touched in
 // exactly this order — the golden smokes pin them.
-func (n *Net) sendEcho(originSite int, src, dst ipv4.Addr, ident, seq uint16, payload []byte) error {
+func (n *Net) sendEcho(originSite int, src, dst ipv4.Addr, ident, seq uint16) error {
 	asg := n.asg
 	switch {
 	case n.cfg.AnycastPrefix.Contains(src):
@@ -436,10 +396,11 @@ func (n *Net) sendEcho(originSite int, src, dst ipv4.Addr, ident, seq uint16, pa
 	}
 
 	site := asg.SiteAt(bi, n.round, n.cfg.Seed)
-	if site < 0 || site >= len(n.taps) || n.taps[site] == nil {
-		// The block's AS heard no announcement; its reply dies in the
-		// void. (With full propagation this is unreachable, but
-		// partial announcements are a legitimate scenario.)
+	if site < 0 || site >= len(n.dns) {
+		// The block's AS heard no announcement, or its catchment site is
+		// not attached; the reply dies in the void. (With full
+		// propagation this is unreachable, but partial announcements are
+		// a legitimate scenario.)
 		n.stats.Unresponsive++
 		return nil
 	}
@@ -489,23 +450,12 @@ func (n *Net) sendEcho(originSite int, src, dst ipv4.Addr, ident, seq uint16, pa
 		n.stats.Duplicates += uint64(extra)
 	}
 
-	if n.sink != nil {
-		// Fast path: hand the parsed reply to the sink stamped with its
-		// would-be arrival time. No frame, no closure, no clock event.
-		now := n.cfg.Clock.Now()
-		for c := 0; c < copies; c++ {
-			d := delay + time.Duration(c)*50*time.Microsecond
-			n.stats.Replies++
-			n.sink(site, from, ident, seq, now+d)
-		}
-		return nil
-	}
-	reply := packet.MarshalEcho(from, src, packet.ICMPEchoReply, ident, seq, payload)
-	tap := n.taps[site]
+	now := n.cfg.Clock.Now()
 	for c := 0; c < copies; c++ {
-		d := delay + time.Duration(c)*50*time.Microsecond
 		n.stats.Replies++
-		n.cfg.Clock.After(d, func() { tap(reply) })
+		if n.sink != nil {
+			n.sink(site, from, ident, seq, now+delay+time.Duration(c)*50*time.Microsecond)
+		}
 	}
 	return nil
 }

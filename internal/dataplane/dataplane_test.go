@@ -7,7 +7,6 @@ import (
 
 	"verfploeter/internal/bgp"
 	"verfploeter/internal/ipv4"
-	"verfploeter/internal/packet"
 	"verfploeter/internal/topology"
 	"verfploeter/internal/vclock"
 )
@@ -16,11 +15,18 @@ const anycastPrefixStr = "198.18.0.0/24"
 
 func measurementAddr() ipv4.Addr { return ipv4.MustParseAddr("198.18.0.1") }
 
+// reply is one capture the reply sink received.
+type reply struct {
+	from       ipv4.Addr
+	ident, seq uint16
+	at         time.Duration
+}
+
 type fixture struct {
 	top   *topology.Topology
 	clock *vclock.Clock
 	net   *Net
-	rx    [][][]byte // per site, captured packets
+	rx    [][]reply // per site, captured replies
 }
 
 func newFixture(t *testing.T, imp Impairments, seed uint64) *fixture {
@@ -37,24 +43,25 @@ func newFixture(t *testing.T, imp Impairments, seed uint64) *fixture {
 		AnycastPrefix: ipv4.MustParsePrefix(anycastPrefixStr),
 	})
 	n.SetAssignment(asg)
-	f := &fixture{top: top, clock: clock, net: n, rx: make([][][]byte, 2)}
+	f := &fixture{top: top, clock: clock, net: n, rx: make([][]reply, 2)}
 	for s := 0; s < 2; s++ {
-		s := s
-		n.AttachSite(s, func(pkt []byte) { f.rx[s] = append(f.rx[s], pkt) }, nil)
+		n.AttachSite(s, nil)
 	}
+	n.SetReplySink(func(site int, from ipv4.Addr, ident, seq uint16, at time.Duration) {
+		f.rx[site] = append(f.rx[site], reply{from, ident, seq, at})
+	})
 	return f
 }
+
+func (f *fixture) replies() int { return len(f.rx[0]) + len(f.rx[1]) }
 
 func (f *fixture) probeAll(t *testing.T) {
 	t.Helper()
 	for i := range f.top.Blocks {
-		raw := packet.MarshalEcho(measurementAddr(), f.top.Blocks[i].Block.Addr(1),
-			packet.ICMPEchoRequest, 7, uint16(i), nil)
-		if err := f.net.SendProbe(0, raw); err != nil {
-			t.Fatalf("SendProbe: %v", err)
+		if err := f.net.SendEcho(0, measurementAddr(), f.top.Blocks[i].Block.Addr(1), 7, uint16(i)); err != nil {
+			t.Fatalf("SendEcho: %v", err)
 		}
 	}
-	f.clock.RunUntilIdle()
 }
 
 func TestProbeRepliesArriveAtCatchmentSite(t *testing.T) {
@@ -66,23 +73,19 @@ func TestProbeRepliesArriveAtCatchmentSite(t *testing.T) {
 	if got0 == 0 || got1 == 0 {
 		t.Fatalf("both sites should capture replies, got %d/%d", got0, got1)
 	}
-	// Every reply must have arrived at the block's assigned site and be
-	// addressed to the measurement address.
+	// Every reply must have arrived at the block's assigned site,
+	// echoing the probe's ident and sequence after a positive delay.
 	for s := 0; s < 2; s++ {
-		for _, raw := range f.rx[s] {
-			p, err := packet.UnmarshalEcho(raw)
-			if err != nil {
-				t.Fatalf("captured packet corrupt: %v", err)
+		for _, r := range f.rx[s] {
+			if r.ident != 7 || r.at <= 0 {
+				t.Fatalf("reply = %+v", r)
 			}
-			if p.IP.Dst != measurementAddr() {
-				t.Fatalf("reply dst = %v", p.IP.Dst)
+			if bi := f.top.BlockIndex(r.from.Block()); bi < 0 || uint16(bi) != r.seq {
+				t.Fatalf("reply from %v carries seq %d, probe of block %d", r.from, r.seq, bi)
 			}
-			if p.Echo.Type != packet.ICMPEchoReply || p.Echo.Ident != 7 {
-				t.Fatalf("reply echo = %+v", p.Echo)
-			}
-			if want := f.net.SiteOfBlock(p.IP.Src.Block()); want != s {
+			if want := f.net.SiteOfBlock(r.from.Block()); want != s {
 				t.Fatalf("reply from %v captured at site %d, assignment says %d",
-					p.IP.Src, s, want)
+					r.from, s, want)
 			}
 		}
 	}
@@ -91,8 +94,7 @@ func TestProbeRepliesArriveAtCatchmentSite(t *testing.T) {
 func TestResponseRateMatchesResponsiveness(t *testing.T) {
 	f := newFixture(t, Impairments{}, 13)
 	f.probeAll(t)
-	replies := len(f.rx[0]) + len(f.rx[1])
-	frac := float64(replies) / float64(len(f.top.Blocks))
+	frac := float64(f.replies()) / float64(len(f.top.Blocks))
 	if frac < 0.35 || frac > 0.70 {
 		t.Errorf("response fraction = %.3f, want ~0.45-0.60", frac)
 	}
@@ -108,9 +110,8 @@ func TestResponseRateMatchesResponsiveness(t *testing.T) {
 		b := f.top.Blocks[i].Block
 		found := false
 		for s := 0; s < 2 && !found; s++ {
-			for _, raw := range f.rx[s] {
-				p, _ := packet.UnmarshalEcho(raw)
-				if p.IP.Src.Block() == b {
+			for _, r := range f.rx[s] {
+				if r.from.Block() == b {
 					found = true
 					break
 				}
@@ -145,41 +146,37 @@ func TestLateRepliesAreLate(t *testing.T) {
 	imp := Impairments{LateFrac: 1, LateDelay: 16 * time.Minute}
 	f := newFixture(t, imp, 19)
 	for i := range f.top.Blocks {
-		raw := packet.MarshalEcho(measurementAddr(), f.top.Blocks[i].Block.Addr(1),
-			packet.ICMPEchoRequest, 1, 0, nil)
-		if err := f.net.SendProbe(0, raw); err != nil {
+		if err := f.net.SendEcho(0, measurementAddr(), f.top.Blocks[i].Block.Addr(1), 1, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	f.clock.Advance(15 * time.Minute)
-	if n := len(f.rx[0]) + len(f.rx[1]); n != 0 {
-		t.Fatalf("%d replies arrived before the late delay", n)
-	}
-	f.clock.RunUntilIdle()
-	if n := len(f.rx[0]) + len(f.rx[1]); n == 0 {
+	if f.replies() == 0 {
 		t.Fatal("late replies never arrived")
+	}
+	for s := 0; s < 2; s++ {
+		for _, r := range f.rx[s] {
+			if r.at < 16*time.Minute {
+				t.Fatalf("reply from %v arrived at %v, before the late delay", r.from, r.at)
+			}
+		}
 	}
 }
 
-func TestSendProbeValidation(t *testing.T) {
+func TestSendEchoValidation(t *testing.T) {
 	f := newFixture(t, Impairments{}, 23)
 
 	// Wrong source.
-	raw := packet.MarshalEcho(ipv4.MustParseAddr("10.0.0.1"), f.top.Blocks[0].Block.Addr(1),
-		packet.ICMPEchoRequest, 1, 0, nil)
-	if err := f.net.SendProbe(0, raw); !errors.Is(err, ErrBadSource) {
+	err := f.net.SendEcho(0, ipv4.MustParseAddr("10.0.0.1"), f.top.Blocks[0].Block.Addr(1), 1, 0)
+	if !errors.Is(err, ErrBadSource) {
 		t.Errorf("bad source: %v", err)
 	}
-
-	// Garbage bytes.
-	if err := f.net.SendProbe(0, []byte{1, 2, 3}); err == nil {
-		t.Error("garbage probe should error")
+	if f.net.Stats().BadPackets != 1 {
+		t.Error("BadPackets not counted")
 	}
 
 	// Unknown destination block: silently absorbed.
-	raw = packet.MarshalEcho(measurementAddr(), ipv4.MustParseAddr("223.1.2.3"),
-		packet.ICMPEchoRequest, 1, 0, nil)
-	if err := f.net.SendProbe(0, raw); err != nil {
+	unrouted := ipv4.MustParseAddr("223.1.2.3")
+	if err := f.net.SendEcho(0, measurementAddr(), unrouted, 1, 0); err != nil {
 		t.Errorf("unrouted dst: %v", err)
 	}
 	if f.net.Stats().UnknownBlocks != 1 {
@@ -188,8 +185,39 @@ func TestSendProbeValidation(t *testing.T) {
 
 	// No assignment installed.
 	n2 := New(Config{Top: f.top, Clock: f.clock, AnycastPrefix: ipv4.MustParsePrefix(anycastPrefixStr)})
-	if err := n2.SendProbe(0, raw); !errors.Is(err, ErrNoAssignment) {
+	if err := n2.SendEcho(0, measurementAddr(), unrouted, 1, 0); !errors.Is(err, ErrNoAssignment) {
 		t.Errorf("no assignment: %v", err)
+	}
+}
+
+// TestUnattachedSiteCountsUnresponsive: a reply whose catchment site is
+// not attached is never captured and counts as Unresponsive, on the Net
+// and on its forks, which inherit the attached-site count.
+func TestUnattachedSiteCountsUnresponsive(t *testing.T) {
+	both := newFixture(t, Impairments{}, 13)
+	both.probeAll(t)
+
+	one := newFixture(t, Impairments{}, 13)
+	one.net.dns = one.net.dns[:1] // only site 0 attached
+	fork := one.net.Fork(vclock.New())
+	var forkRx int
+	fork.SetReplySink(func(int, ipv4.Addr, uint16, uint16, time.Duration) { forkRx++ })
+	for _, n := range []*Net{one.net, fork} {
+		for i := range one.top.Blocks {
+			if err := n.SendEcho(0, measurementAddr(), one.top.Blocks[i].Block.Addr(1), 7, uint16(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(one.rx[1]) != 0 || len(one.rx[0]) != len(both.rx[0]) || forkRx != len(both.rx[0]) {
+		t.Fatalf("captured %d/%d (fork %d), want %d/0", len(one.rx[0]), len(one.rx[1]), forkRx, len(both.rx[0]))
+	}
+	st, want := one.net.Stats(), both.net.Stats()
+	if fork.Stats() != st {
+		t.Errorf("fork stats %+v, parent %+v", fork.Stats(), st)
+	}
+	if st.Unresponsive != want.Unresponsive+uint64(len(both.rx[1])) || st.Replies != want.Replies-uint64(len(both.rx[1])) {
+		t.Errorf("one site attached: %+v; both attached: %+v", st, want)
 	}
 }
 
@@ -197,7 +225,7 @@ func TestQueryAnycastRouting(t *testing.T) {
 	f := newFixture(t, Impairments{}, 29)
 	for s := 0; s < 2; s++ {
 		s := s
-		f.net.AttachSite(s, func([]byte) {}, func(q []byte) []byte {
+		f.net.AttachSite(s, func(q []byte) []byte {
 			return append([]byte{byte(s)}, q...)
 		})
 	}
@@ -272,15 +300,13 @@ func TestTestPrefixRouting(t *testing.T) {
 
 	var rx [2]int
 	for s := 0; s < 2; s++ {
-		s := s
-		n.AttachSite(s, func([]byte) { rx[s]++ }, nil)
+		n.AttachSite(s, nil)
 	}
+	n.SetReplySink(func(site int, _ ipv4.Addr, _, _ uint16, _ time.Duration) { rx[site]++ })
 
 	// Probing from the test prefix before announcing it fails.
 	tgt := top.Blocks[0].Block.Addr(1)
-	raw := packet.MarshalEcho(ipv4.MustParseAddr("198.18.1.1"), tgt,
-		packet.ICMPEchoRequest, 1, 0, nil)
-	if err := n.SendProbe(0, raw); !errors.Is(err, ErrNoAssignment) {
+	if err := n.SendEcho(0, ipv4.MustParseAddr("198.18.1.1"), tgt, 1, 0); !errors.Is(err, ErrNoAssignment) {
 		t.Fatalf("test probe without assignment: %v", err)
 	}
 
@@ -292,20 +318,16 @@ func TestTestPrefixRouting(t *testing.T) {
 	for i := range top.Blocks {
 		a := top.Blocks[i].Block.Addr(1)
 		rx = [2]int{}
-		p := packet.MarshalEcho(ipv4.MustParseAddr("198.18.0.1"), a, packet.ICMPEchoRequest, 1, 0, nil)
-		if err := n.SendProbe(0, p); err != nil {
+		if err := n.SendEcho(0, ipv4.MustParseAddr("198.18.0.1"), a, 1, 0); err != nil {
 			t.Fatal(err)
 		}
-		clock.RunUntilIdle()
 		for s := 0; s < 2; s++ {
 			prod[s] += rx[s]
 		}
 		rx = [2]int{}
-		q := packet.MarshalEcho(ipv4.MustParseAddr("198.18.1.1"), a, packet.ICMPEchoRequest, 2, 0, nil)
-		if err := n.SendProbe(0, q); err != nil {
+		if err := n.SendEcho(0, ipv4.MustParseAddr("198.18.1.1"), a, 2, 0); err != nil {
 			t.Fatal(err)
 		}
-		clock.RunUntilIdle()
 		for s := 0; s < 2; s++ {
 			test[s] += rx[s]
 		}

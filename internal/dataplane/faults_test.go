@@ -1,16 +1,14 @@
 package dataplane
 
 import (
-	"bytes"
 	"testing"
 
 	"verfploeter/internal/faults"
-	"verfploeter/internal/packet"
 )
 
 // TestZeroRateProfileIsByteIdentical: installing a profile whose every
-// rate is zero — seed set or not — must leave the captured packet
-// stream and every counter byte-identical to a run with no profile.
+// rate is zero — seed set or not — must leave the captured reply
+// stream and every counter identical to a run with no profile.
 func TestZeroRateProfileIsByteIdentical(t *testing.T) {
 	plain := newFixture(t, Impairments{}, 17)
 	plain.probeAll(t)
@@ -25,11 +23,11 @@ func TestZeroRateProfileIsByteIdentical(t *testing.T) {
 	}
 	for s := 0; s < 2; s++ {
 		if len(plain.rx[s]) != len(faulty.rx[s]) {
-			t.Fatalf("site %d captured %d vs %d packets", s, len(plain.rx[s]), len(faulty.rx[s]))
+			t.Fatalf("site %d captured %d vs %d replies", s, len(plain.rx[s]), len(faulty.rx[s]))
 		}
 		for i := range plain.rx[s] {
-			if !bytes.Equal(plain.rx[s][i], faulty.rx[s][i]) {
-				t.Fatalf("site %d packet %d differs under a zero-rate profile", s, i)
+			if plain.rx[s][i] != faulty.rx[s][i] {
+				t.Fatalf("site %d reply %d differs under a zero-rate profile", s, i)
 			}
 		}
 	}
@@ -47,8 +45,8 @@ func TestLossProfileDropsAndCounts(t *testing.T) {
 	})
 	lossy.probeAll(t)
 
-	plainReplies := len(plain.rx[0]) + len(plain.rx[1])
-	lossyReplies := len(lossy.rx[0]) + len(lossy.rx[1])
+	plainReplies := plain.replies()
+	lossyReplies := lossy.replies()
 	if lossyReplies >= plainReplies {
 		t.Errorf("loss profile did not reduce replies: %d vs %d", lossyReplies, plainReplies)
 	}
@@ -90,16 +88,14 @@ func TestRateLimitCapsRepliesPerRound(t *testing.T) {
 	}
 
 	send := func(seq uint16) {
-		raw := packet.MarshalEcho(measurementAddr(), target, packet.ICMPEchoRequest, 7, seq, nil)
-		if err := f.net.SendProbe(0, raw); err != nil {
-			t.Fatalf("SendProbe: %v", err)
+		if err := f.net.SendEcho(0, measurementAddr(), target, 7, seq); err != nil {
+			t.Fatalf("SendEcho: %v", err)
 		}
 	}
 	for seq := uint16(0); seq < 5; seq++ {
 		send(seq)
 	}
-	f.clock.RunUntilIdle()
-	if got := len(f.rx[0]) + len(f.rx[1]); got != 2 {
+	if got := f.replies(); got != 2 {
 		t.Errorf("rate limit 2 let %d replies through", got)
 	}
 	if st := f.net.Stats(); st.FaultRateLimited != 3 {
@@ -109,8 +105,7 @@ func TestRateLimitCapsRepliesPerRound(t *testing.T) {
 	// New round, fresh budget.
 	f.net.SetRound(1)
 	send(100)
-	f.clock.RunUntilIdle()
-	if got := len(f.rx[0]) + len(f.rx[1]); got != 3 {
+	if got := f.replies(); got != 3 {
 		t.Errorf("budget did not reopen on round change: %d total replies", got)
 	}
 }
@@ -122,7 +117,7 @@ func TestBlackoutDarkensSites(t *testing.T) {
 	f.net.SetFaults(faults.Profile{SiteBlackout: 1.0, Seed: 5})
 	f.probeAll(t)
 
-	if got := len(f.rx[0]) + len(f.rx[1]); got != 0 {
+	if got := f.replies(); got != 0 {
 		t.Errorf("blacked-out sites captured %d replies", got)
 	}
 	st := f.net.Stats()
@@ -131,7 +126,7 @@ func TestBlackoutDarkensSites(t *testing.T) {
 	}
 
 	for s := 0; s < 2; s++ {
-		f.net.SetDNS(s, func(q []byte) []byte { return q })
+		f.net.AttachSite(s, func(q []byte) []byte { return q })
 	}
 	_, _, err := f.net.QueryAnycast(f.top.Blocks[0].Block.Addr(1), []byte{0})
 	if err == nil {

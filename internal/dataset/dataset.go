@@ -268,14 +268,9 @@ func readEntry(br *bufio.Reader, v uint16, catchSites int) (Entry, error) {
 	}
 	var rtt time.Duration
 	if v >= version {
-		rttNanos, err := readU64(br)
-		if err != nil {
+		if rtt, err = readRTT(br); err != nil {
 			return Entry{}, err
 		}
-		if rttNanos > math.MaxInt64 {
-			return Entry{}, fmt.Errorf("%w: rtt overflow", ErrFormat)
-		}
-		rtt = time.Duration(rttNanos)
 	} else {
 		rttMicros, err := readU32(br)
 		if err != nil {
@@ -287,6 +282,20 @@ func readEntry(br *bufio.Reader, v uint16, catchSites int) (Entry, error) {
 		return Entry{}, fmt.Errorf("%w: entry site %d of %d", ErrFormat, site, catchSites)
 	}
 	return Entry{Block: ipv4.Block(blk), Site: int(site), RTT: rtt}, nil
+}
+
+// readRTT reads a u64-nanosecond RTT (0 = none). Values above
+// math.MaxInt64 are malformed: as a time.Duration they would turn
+// negative and read as "no RTT".
+func readRTT(br *bufio.Reader) (time.Duration, error) {
+	ns, err := readU64(br)
+	if err != nil {
+		return 0, err
+	}
+	if ns > math.MaxInt64 {
+		return 0, fmt.Errorf("%w: rtt overflow", ErrFormat)
+	}
+	return time.Duration(ns), nil
 }
 
 // expectEOF demands the record end exactly where parsing stopped. The

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -175,11 +177,14 @@ func TestTruncatedDatasetErrors(t *testing.T) {
 
 // TestTruncatedSeriesErrors is the same every-interior-byte sweep for
 // the v3 series reader.
-func TestTruncatedSeriesErrors(t *testing.T) {
+// smallSeries is a two-block baseline (0x01020300 at site 0 with a
+// 40 ms RTT, 0x01020400 at site 1 without) and one epoch that moves
+// 0x01020400 to site 0 with a 1 ms RTT and removes 0x01020300.
+func smallSeries() *Series {
 	base := verfploeter.NewCatchment(2)
 	base.SetRTT(ipv4.Block(0x01020300), 0, 40*time.Millisecond)
 	base.Set(ipv4.Block(0x01020400), 1)
-	s := &Series{
+	return &Series{
 		Meta:     Meta{ID: "mon", Scenario: "b-root", Sites: []string{"lax", "mia"}, RoundID: 900},
 		Strata:   4,
 		Baseline: base,
@@ -191,8 +196,11 @@ func TestTruncatedSeriesErrors(t *testing.T) {
 			Events:  []Event{{Epoch: 1, Type: EventFlips, Cause: CauseUnexplained, Site: -1, Blocks: 1, Magnitude: 0.5}},
 		}},
 	}
+}
+
+func TestTruncatedSeriesErrors(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteSeries(&buf, s); err != nil {
+	if err := WriteSeries(&buf, smallSeries()); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -209,6 +217,49 @@ func TestTruncatedSeriesErrors(t *testing.T) {
 		}
 		if !errors.Is(err, ErrFormat) {
 			t.Fatalf("series payload truncation at %d: error not ErrFormat: %v", cut, err)
+		}
+	}
+}
+
+// TestSeriesRejectsMalformedEntries hand-crafts series whose entries a
+// v4 dataset reader would reject — an RTT above math.MaxInt64 in the
+// baseline or in a delta, and a repeated or descending baseline block —
+// and requires ReadSeries to fail with ErrFormat instead of turning the
+// RTT negative or folding entries together.
+func TestSeriesRejectsMalformedEntries(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteSeries(&buf, smallSeries()); err != nil {
+		t.Fatal(err)
+	}
+	payload := gunzip(t, buf.Bytes())
+	if _, err := ReadSeries(bytes.NewReader(regzip(t, payload))); err != nil {
+		t.Fatalf("unpatched series: %v", err)
+	}
+	// entry is one encoded catchment entry or delta: u32 block, u16
+	// site, u64 RTT in nanoseconds.
+	entry := func(blk uint32, site uint16, rtt uint64) []byte {
+		b := binary.BigEndian.AppendUint32(nil, blk)
+		b = binary.BigEndian.AppendUint16(b, site)
+		return binary.BigEndian.AppendUint64(b, rtt)
+	}
+	baseFirst := entry(0x01020300, 0, uint64(40*time.Millisecond))
+	baseSecond := entry(0x01020400, 1, 0)
+	delta := entry(0x01020400, 0, uint64(time.Millisecond))
+	for _, tc := range []struct {
+		name     string
+		old, new []byte
+	}{
+		{"baseline rtt overflow", baseFirst, entry(0x01020300, 0, 1<<63)},
+		{"delta rtt overflow", delta, entry(0x01020400, 0, math.MaxUint64)},
+		{"repeated baseline block", baseSecond, entry(0x01020300, 1, 0)},
+		{"descending baseline block", baseSecond, entry(0x01020200, 1, 0)},
+	} {
+		if n := bytes.Count(payload, tc.old); n != 1 {
+			t.Fatalf("%s: entry found %d times in the payload", tc.name, n)
+		}
+		bad := bytes.Replace(payload, tc.old, tc.new, 1)
+		if _, err := ReadSeries(bytes.NewReader(regzip(t, bad))); !errors.Is(err, ErrFormat) {
+			t.Errorf("%s: error %v, want ErrFormat", tc.name, err)
 		}
 	}
 }

@@ -502,6 +502,10 @@ func ReadSeries(r io.Reader) (*Series, error) {
 	return s, nil
 }
 
+// readCatchment parses a series baseline. writeCatchment emits Blocks()
+// in ascending order, so a repeated or descending block is malformed: a
+// first-wins Set would silently fold it into fewer entries than
+// declared.
 func readCatchment(br *bufio.Reader) (*verfploeter.Catchment, error) {
 	nSite, err := readU32(br)
 	if err != nil {
@@ -518,11 +522,16 @@ func readCatchment(br *bufio.Reader) (*verfploeter.Catchment, error) {
 		return nil, fmt.Errorf("%w: %d entries", ErrFormat, n)
 	}
 	c := verfploeter.NewCatchment(int(nSite))
+	var prev uint32
 	for i := uint32(0); i < n; i++ {
 		blk, err := readU32(br)
 		if err != nil {
 			return nil, err
 		}
+		if i > 0 && blk <= prev {
+			return nil, fmt.Errorf("%w: baseline entries not ascending at %v", ErrFormat, ipv4.Block(blk))
+		}
+		prev = blk
 		site, err := readU16(br)
 		if err != nil {
 			return nil, err
@@ -530,12 +539,12 @@ func readCatchment(br *bufio.Reader) (*verfploeter.Catchment, error) {
 		if int(site) >= int(nSite) {
 			return nil, fmt.Errorf("%w: entry site %d of %d", ErrFormat, site, nSite)
 		}
-		rttNanos, err := readU64(br)
+		rtt, err := readRTT(br)
 		if err != nil {
 			return nil, err
 		}
-		if rttNanos > 0 {
-			c.SetRTT(ipv4.Block(blk), int(site), time.Duration(rttNanos))
+		if rtt > 0 {
+			c.SetRTT(ipv4.Block(blk), int(site), rtt)
 		} else {
 			c.Set(ipv4.Block(blk), int(site))
 		}
@@ -567,11 +576,9 @@ func readDeltas(br *bufio.Reader, nSite int) ([]Delta, error) {
 			return nil, fmt.Errorf("%w: delta site %d of %d", ErrFormat, site, nSite)
 		}
 		d.Site = int16(site)
-		rttNanos, err := readU64(br)
-		if err != nil {
+		if d.RTT, err = readRTT(br); err != nil {
 			return nil, err
 		}
-		d.RTT = time.Duration(rttNanos)
 		out = append(out, d)
 	}
 	return out, nil

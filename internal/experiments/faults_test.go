@@ -17,44 +17,6 @@ func resetCampaignCache() {
 	campaignMu.Unlock()
 }
 
-// TestExperimentsByteIdenticalWithZeroRateFaults is the fault layer's
-// acceptance contract: a fault profile whose every rate is zero — even
-// with a nonzero seed, the shape faults.Parse produces for "seed=99" —
-// must leave every experiment's rendered Result.Text byte-for-byte
-// identical to a run with no profile at all. Any divergence means the
-// injection hooks perturb the zero-fault path.
-func TestExperimentsByteIdenticalWithZeroRateFaults(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full experiment sweep")
-	}
-	plain := map[string]string{}
-	for _, id := range IDs() {
-		res, err := Run(id, workersConfig(2))
-		if err != nil {
-			t.Fatalf("%s plain: %v", id, err)
-		}
-		plain[id] = res.Text
-	}
-
-	resetCampaignCache()
-	zero := faults.Profile{Seed: 99} // all rates zero: Enabled() is false
-	if zero.Enabled() {
-		t.Fatal("seed-only profile must not enable injection")
-	}
-	for _, id := range IDs() {
-		cfg := workersConfig(2)
-		cfg.Faults = zero
-		res, err := Run(id, cfg)
-		if err != nil {
-			t.Fatalf("%s zero-rate faults: %v", id, err)
-		}
-		if res.Text != plain[id] {
-			t.Errorf("%s: report differs under a zero-rate fault profile:\n--- no profile\n%s\n--- zero-rate profile\n%s",
-				id, plain[id], res.Text)
-		}
-	}
-}
-
 // TestFaultProfileKeysCampaignCache guards against the one bug class the
 // campaign cache must never grow: a faulty campaign satisfying a
 // fault-free request (or vice versa). The same config with and without a

@@ -1,49 +1,15 @@
 package experiments
 
 import (
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"verfploeter/internal/topology"
-	"verfploeter/internal/verfploeter"
 )
 
 func workersConfig(workers int) Config {
 	return Config{Size: topology.SizeSmall, Seed: 13, AtlasVPs: 150, Rounds: 4, Workers: workers}
-}
-
-// TestExperimentsByteIdenticalAcrossWorkers is the tentpole's acceptance
-// contract: every experiment's rendered Result.Text must be byte-for-byte
-// identical at workers=1 and workers=NumCPU.
-func TestExperimentsByteIdenticalAcrossWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full experiment sweep")
-	}
-	one := map[string]string{}
-	for _, id := range IDs() {
-		res, err := Run(id, workersConfig(1))
-		if err != nil {
-			t.Fatalf("%s workers=1: %v", id, err)
-		}
-		one[id] = res.Text
-	}
-	// The campaign cache would otherwise serve workers=1 results to the
-	// second pass and mask any divergence in the parallel rounds.
-	campaignMu.Lock()
-	campaignCache = map[worldKey][]*verfploeter.Catchment{}
-	campaignMu.Unlock()
-	for _, id := range IDs() {
-		res, err := Run(id, workersConfig(runtime.GOMAXPROCS(0)))
-		if err != nil {
-			t.Fatalf("%s workers=N: %v", id, err)
-		}
-		if res.Text != one[id] {
-			t.Errorf("%s: report differs between workers=1 and workers=%d:\n--- workers=1\n%s\n--- workers=N\n%s",
-				id, runtime.GOMAXPROCS(0), one[id], res.Text)
-		}
-	}
 }
 
 // TestExperimentsRunConcurrently drives several experiments — including

@@ -9,7 +9,7 @@
 // Call sites guarantee that by construction, in one of three shapes:
 //
 //   - disjoint index writes: each item i writes only out[i] (assignment,
-//     probe marshaling, reply parsing);
+//     per-chunk probe sweeps);
 //   - keyed sharding: state-carrying passes (duplicate suppression,
 //     first-reply-wins catchment folding) partition their input by a key
 //     (the /24 block) so all order-dependent interactions stay inside one

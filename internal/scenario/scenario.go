@@ -123,7 +123,7 @@ func build(name string, seed uint64, top *topology.Topology, sites []Site) *Scen
 	s.Reannounce(nil)
 	for i := range sites {
 		i := i
-		s.Net.AttachSite(i, nil, s.dnsHandler(i))
+		s.Net.AttachSite(i, s.dnsHandler(i))
 	}
 	return s
 }
@@ -143,7 +143,7 @@ func (s *Scenario) Fork() *Scenario {
 	f.down = append([]bool(nil), s.down...)
 	f.epochHooks = append([]func(*Scenario, int){}, s.epochHooks...)
 	for i := range f.Sites {
-		f.Net.SetDNS(i, f.dnsHandler(i))
+		f.Net.AttachSite(i, f.dnsHandler(i))
 	}
 	return &f
 }
@@ -301,7 +301,7 @@ func (s *Scenario) AnnounceTest(extraPrepend []int, epoch uint64) {
 // production. AnnounceTest must have been called.
 func (s *Scenario) MeasureTest(roundID uint16) (*verfploeter.Catchment, verfploeter.Stats, error) {
 	return s.runSweep(verfploeter.Config{
-		Hitlist: s.Hitlist, Net: s.Net, Clock: s.Clock,
+		Hitlist: s.Hitlist, Net: s.Net,
 		NSite: len(s.Sites), OriginSite: 0, SourceAddr: s.TestMeasureAddr,
 		RoundID: roundID, Seed: s.Seed ^ uint64(roundID)<<32 ^ 0x7e57,
 		Workers: s.Workers,
@@ -417,7 +417,7 @@ func (s *Scenario) Measure(roundID uint16) (*verfploeter.Catchment, verfploeter.
 // roundID.
 func (s *Scenario) MeasureSubset(roundID uint16, subset *ipv4.BlockSet) (*verfploeter.Catchment, verfploeter.Stats, error) {
 	return s.runSweep(verfploeter.Config{
-		Hitlist: s.Hitlist, Net: s.Net, Clock: s.Clock,
+		Hitlist: s.Hitlist, Net: s.Net,
 		NSite: len(s.Sites), OriginSite: 0, SourceAddr: s.MeasureAddr,
 		RoundID: roundID, Seed: s.Seed ^ uint64(roundID)<<32,
 		Workers: s.Workers,

@@ -81,40 +81,3 @@ func TestDiff(t *testing.T) {
 		t.Errorf("Diff = %+v", d)
 	}
 }
-
-func TestCleanFilters(t *testing.T) {
-	probed := map[ipv4.Addr]bool{
-		ipv4.MustParseAddr("10.0.0.1"): true,
-		ipv4.MustParseAddr("10.0.1.1"): true,
-	}
-	replies := []Reply{
-		{Site: 0, At: 1, Src: ipv4.MustParseAddr("10.0.0.1"), Ident: 7},   // keep
-		{Site: 0, At: 2, Src: ipv4.MustParseAddr("10.0.0.1"), Ident: 7},   // dup
-		{Site: 1, At: 3, Src: ipv4.MustParseAddr("10.0.1.1"), Ident: 8},   // wrong round
-		{Site: 1, At: 999, Src: ipv4.MustParseAddr("10.0.1.1"), Ident: 7}, // late
-		{Site: 1, At: 4, Src: ipv4.MustParseAddr("10.0.9.9"), Ident: 7},   // unsolicited
-		{Site: 1, At: 5, Src: ipv4.MustParseAddr("10.0.1.1"), Ident: 7},   // keep
-	}
-	kept, st := Clean(replies, probed, 7, 100)
-	if st.Total != 6 || st.Kept != 2 || st.Duplicates != 1 || st.WrongRound != 1 || st.Late != 1 || st.Unsolicited != 1 {
-		t.Errorf("CleanStats = %+v", st)
-	}
-	if len(kept) != 2 || kept[0].Src != ipv4.MustParseAddr("10.0.0.1") {
-		t.Errorf("kept = %+v", kept)
-	}
-}
-
-func TestCleanOrderMattersForDuplicates(t *testing.T) {
-	// The first reply wins; later duplicates from the same source are
-	// dropped even if they arrived at a different site (a flip during
-	// the round).
-	probed := map[ipv4.Addr]bool{ipv4.MustParseAddr("10.0.0.1"): true}
-	replies := []Reply{
-		{Site: 1, At: 1, Src: ipv4.MustParseAddr("10.0.0.1"), Ident: 1},
-		{Site: 0, At: 2, Src: ipv4.MustParseAddr("10.0.0.1"), Ident: 1},
-	}
-	kept, _ := Clean(replies, probed, 1, 100)
-	if len(kept) != 1 || kept[0].Site != 1 {
-		t.Errorf("kept = %+v", kept)
-	}
-}

@@ -6,7 +6,6 @@ import (
 
 	"verfploeter/internal/dataplane"
 	"verfploeter/internal/ipv4"
-	"verfploeter/internal/packet"
 )
 
 // TestRunEmptySubset: a non-nil empty subset is a legitimate degenerate
@@ -82,97 +81,5 @@ func TestRunSingleBlockSubset(t *testing.T) {
 	}
 	if gotRTT, _ := part.RTTOf(block); gotRTT != wantRTT {
 		t.Errorf("subset RTT %v, full sweep %v", gotRTT, wantRTT)
-	}
-}
-
-// replyRaw builds one on-the-wire echo reply from src.
-func replyRaw(src ipv4.Addr, ident, seq uint16) []byte {
-	return packet.MarshalEcho(src, ipv4.MustParseAddr("198.18.0.1"), packet.ICMPEchoReply, ident, seq, nil)
-}
-
-// TestStreamShardsDuplicateBurst: the paper observes "systems replying
-// multiple times to a single echo request, in some cases up to thousands
-// of times" — a burst of N identical replies must fold to one kept
-// reply and N-1 duplicates, identically for any shard count.
-func TestStreamShardsDuplicateBurst(t *testing.T) {
-	w := newWorld(t, 11, dataplane.Impairments{})
-	src := w.hl.Entries[0].Addr
-	const n = 50
-
-	for _, shards := range []int{1, 4} {
-		s := NewStreamShards(shards, w.hl, 2, 7, time.Minute, nil)
-		for i := 0; i < n; i++ {
-			s.Record(1, time.Duration(i)*time.Millisecond, replyRaw(src, 7, 0))
-		}
-		catch, stats := s.Finish()
-		if stats.Kept != 1 || stats.Duplicates != n-1 {
-			t.Errorf("shards=%d: kept=%d dups=%d, want 1/%d", shards, stats.Kept, stats.Duplicates, n-1)
-		}
-		if stats.Total != n {
-			t.Errorf("shards=%d: total=%d, want %d", shards, stats.Total, n)
-		}
-		if catch.Len() != 1 {
-			t.Errorf("shards=%d: catchment has %d blocks, want 1", shards, catch.Len())
-		}
-		if site, ok := catch.SiteOf(src.Block()); !ok || site != 1 {
-			t.Errorf("shards=%d: block mapped to %d (ok=%v), want site 1", shards, site, ok)
-		}
-	}
-}
-
-// TestStreamShardsDropRules pins the remaining per-packet cleaning paths
-// (wrong round, late, unsolicited, malformed, non-reply) through the
-// sharded collector.
-func TestStreamShardsDropRules(t *testing.T) {
-	w := newWorld(t, 11, dataplane.Impairments{})
-	src := w.hl.Entries[0].Addr
-	s := NewStreamShards(2, w.hl, 2, 7, time.Minute, nil)
-
-	s.Record(0, time.Second, replyRaw(src, 9, 0))     // wrong round
-	s.Record(0, 2*time.Minute, replyRaw(src, 7, 0))   // late
-	outside := ipv4.MustParseAddr("203.0.113.77")     // not on the hitlist
-	s.Record(0, time.Second, replyRaw(outside, 7, 0)) // unsolicited
-	s.Record(0, time.Second, []byte{0x45, 0x00})      // malformed
-	req := packet.MarshalEcho(src, ipv4.MustParseAddr("198.18.0.1"), packet.ICMPEchoRequest, 7, 0, nil)
-	s.Record(0, time.Second, req)                 // not a reply
-	s.Record(0, time.Second, replyRaw(src, 7, 0)) // the one good reply
-
-	catch, stats := s.Finish()
-	if stats.WrongRound != 1 || stats.Late != 1 || stats.Unsolicited != 1 || stats.Kept != 1 {
-		t.Errorf("stats = %+v, want wrong-round/late/unsolicited/kept all 1", stats)
-	}
-	if s.Malformed() != 1 || s.NonReply() != 1 {
-		t.Errorf("malformed=%d nonreply=%d, want 1/1", s.Malformed(), s.NonReply())
-	}
-	if catch.Len() != 1 {
-		t.Errorf("catchment has %d blocks, want 1", catch.Len())
-	}
-}
-
-// TestCentralKeepsRawBurst: the central collector stores the raw stream
-// for later cleaning — a duplicate burst arrives intact, while garbage
-// and non-replies are counted and dropped at the tap.
-func TestCentralKeepsRawBurst(t *testing.T) {
-	w := newWorld(t, 11, dataplane.Impairments{})
-	src := w.hl.Entries[0].Addr
-	var c Central
-	const n = 20
-	for i := 0; i < n; i++ {
-		c.Record(0, time.Duration(i)*time.Millisecond, replyRaw(src, 3, uint16(i)))
-	}
-	c.Record(0, time.Second, []byte{0xff})
-	req := packet.MarshalEcho(src, ipv4.MustParseAddr("198.18.0.1"), packet.ICMPEchoRequest, 3, 0, nil)
-	c.Record(0, time.Second, req)
-
-	if len(c.Replies) != n {
-		t.Errorf("central kept %d replies, want %d", len(c.Replies), n)
-	}
-	if c.Malformed != 1 || c.NonReply != 1 {
-		t.Errorf("malformed=%d nonreply=%d, want 1/1", c.Malformed, c.NonReply)
-	}
-	for i, r := range c.Replies {
-		if r.Src != src || r.Ident != 3 || r.Seq != uint16(i) {
-			t.Fatalf("reply %d = %+v, want src=%v ident=3 seq=%d", i, r, src, i)
-		}
 	}
 }

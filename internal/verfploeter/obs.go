@@ -6,14 +6,12 @@ import (
 )
 
 // publishRound feeds one finished round's totals into the registry: the
-// sweep's probe/reply accounting plus (when the round ran on in-process
-// chunk forks) the merged dataplane counters, fault injections included.
-// It runs once per Run, after the deterministic work is done, from
-// numbers the round already accumulated — instrumentation never adds
-// per-probe cost, which is how the disabled path stays byte-identical
-// and zero-alloc. net is nil on the external-collector path, where the
-// caller owns the data plane.
-func publishRound(r *obsv.Registry, st Stats, net *dataplane.Stats) {
+// sweep's probe/reply accounting plus the merged dataplane counters of
+// its chunk forks, fault injections included. It runs once per Run,
+// after the deterministic work is done, from numbers the round already
+// accumulated — instrumentation never adds per-probe cost, which is how
+// the disabled path stays byte-identical and zero-alloc.
+func publishRound(r *obsv.Registry, st Stats, net dataplane.Stats) {
 	if r == nil {
 		return
 	}
@@ -28,7 +26,5 @@ func publishRound(r *obsv.Registry, st Stats, net *dataplane.Stats) {
 	r.Counter("replies_late", "replies dropped past the cutoff").AddInt(st.Clean.Late)
 	r.Counter("replies_unsolicited", "replies from addresses never probed").AddInt(st.Clean.Unsolicited)
 	r.Counter("replies_wrong_round", "replies carrying another round's ident").AddInt(st.Clean.WrongRound)
-	if net != nil {
-		net.PublishObs(r)
-	}
+	net.PublishObs(r)
 }

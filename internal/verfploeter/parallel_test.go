@@ -2,13 +2,9 @@ package verfploeter
 
 import (
 	"runtime"
-	"sync"
 	"testing"
-	"time"
 
 	"verfploeter/internal/dataplane"
-	"verfploeter/internal/ipv4"
-	"verfploeter/internal/packet"
 )
 
 func catchmentsEqual(t *testing.T, label string, a, b *Catchment) {
@@ -56,141 +52,5 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if refStats.Clean.Kept == 0 {
 		t.Fatal("degenerate round: nothing kept")
-	}
-}
-
-// TestBuildCatchmentMatchesClean cross-checks the sharded fold against
-// the sequential Clean pass on the same reply set.
-func TestBuildCatchmentMatchesClean(t *testing.T) {
-	w := newWorld(t, 5, dataplane.DefaultImpairments())
-	cfg := w.config(2)
-	central := &Central{}
-	cfg.Collector = central
-	_, _, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probed := make(map[ipv4.Addr]bool)
-	for _, e := range w.hl.Entries {
-		probed[e.Addr] = true
-	}
-	kept, cleanStats := Clean(central.Replies, probed, 2, w.clock.Now())
-	catch, foldStats := BuildCatchment(central.Replies, w.hl, 2, 2, w.clock.Now())
-	if foldStats != cleanStats {
-		t.Fatalf("fold stats %+v, clean stats %+v", foldStats, cleanStats)
-	}
-	if catch.Len() == 0 || len(kept) < catch.Len() {
-		t.Fatalf("catchment %d blocks from %d kept replies", catch.Len(), len(kept))
-	}
-}
-
-// streamRecords builds a deterministic capture stream exercising every
-// cleaning rule: good replies, duplicates, a wrong round, a late packet,
-// and an unsolicited source.
-func streamRecords(w *world) []struct {
-	site int
-	at   time.Duration
-	raw  []byte
-} {
-	anycast := ipv4.MustParseAddr("198.18.0.1")
-	var recs []struct {
-		site int
-		at   time.Duration
-		raw  []byte
-	}
-	add := func(site int, at time.Duration, raw []byte) {
-		recs = append(recs, struct {
-			site int
-			at   time.Duration
-			raw  []byte
-		}{site, at, raw})
-	}
-	for i, e := range w.hl.Entries {
-		raw := packet.MarshalEcho(e.Addr, anycast, packet.ICMPEchoReply, 3, uint16(i), nil)
-		at := time.Duration(i) * time.Millisecond
-		add(i%2, at, raw)
-		if i%5 == 0 { // duplicate, later — must be suppressed
-			add((i+1)%2, at+time.Second, raw)
-		}
-	}
-	wrong := packet.MarshalEcho(w.hl.Entries[0].Addr, anycast, packet.ICMPEchoReply, 99, 0, nil)
-	add(0, time.Second, wrong)
-	unsolicited := packet.MarshalEcho(ipv4.MustParseAddr("203.0.113.7"), anycast, packet.ICMPEchoReply, 3, 0, nil)
-	add(1, time.Second, unsolicited)
-	late := packet.MarshalEcho(w.hl.Entries[1].Addr, anycast, packet.ICMPEchoReply, 3, 1, nil)
-	add(0, 20*time.Minute, late)
-	return recs
-}
-
-// TestStreamShardsMatchesStreamBuilder feeds the same stream to the
-// sequential builder and the sharded fan-in (several shard counts) and
-// requires identical catchments and statistics.
-func TestStreamShardsMatchesStreamBuilder(t *testing.T) {
-	w := newWorld(t, 7, dataplane.Impairments{BaseRTT: 5 * time.Millisecond})
-	recs := streamRecords(w)
-
-	ref := NewStreamBuilder(w.hl, 2, 3, 15*time.Minute, nil)
-	for _, r := range recs {
-		ref.Record(r.site, r.at, r.raw)
-	}
-	refCatch, refStats := ref.Finish()
-	if refStats.Kept == 0 || refStats.Duplicates == 0 || refStats.Late == 0 ||
-		refStats.Unsolicited == 0 || refStats.WrongRound == 0 {
-		t.Fatalf("stream not exercising all rules: %+v", refStats)
-	}
-
-	for _, nShards := range []int{1, 2, 7} {
-		ss := NewStreamShards(nShards, w.hl, 2, 3, 15*time.Minute, nil)
-		for _, r := range recs {
-			ss.Record(r.site, r.at, r.raw)
-		}
-		catch, stats := ss.Finish()
-		if stats != refStats {
-			t.Fatalf("nShards=%d: stats %+v, want %+v", nShards, stats, refStats)
-		}
-		catchmentsEqual(t, "shards", refCatch, catch)
-	}
-}
-
-// TestStreamShardsConcurrentProducers drives the fan-in from many
-// goroutines (one per block residue class, so per-block order is
-// preserved — the documented contract) and checks the result against the
-// sequential builder. Run under -race this also proves the locking.
-func TestStreamShardsConcurrentProducers(t *testing.T) {
-	w := newWorld(t, 7, dataplane.Impairments{BaseRTT: 5 * time.Millisecond})
-	recs := streamRecords(w)
-
-	ref := NewStreamBuilder(w.hl, 2, 3, 15*time.Minute, nil)
-	for _, r := range recs {
-		ref.Record(r.site, r.at, r.raw)
-	}
-	refCatch, refStats := ref.Finish()
-
-	ss := NewStreamShards(4, w.hl, 2, 3, 15*time.Minute, nil)
-	const producers = 8
-	var wg sync.WaitGroup
-	for g := 0; g < producers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i, r := range recs {
-				if i%producers == g {
-					ss.Record(r.site, r.at, r.raw)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	catch, stats := ss.Finish()
-	// Partitioning by record index keeps each source's records (original
-	// + duplicate share the index parity only by luck) — so compare the
-	// order-insensitive pieces: totals and the catchment minus flips.
-	if stats.Total != refStats.Total || stats.WrongRound != refStats.WrongRound ||
-		stats.Late != refStats.Late || stats.Unsolicited != refStats.Unsolicited ||
-		stats.Kept+stats.Duplicates != refStats.Kept+refStats.Duplicates {
-		t.Fatalf("concurrent stats %+v, want %+v", stats, refStats)
-	}
-	if catch.Len() != refCatch.Len() {
-		t.Fatalf("concurrent catchment %d blocks, want %d", catch.Len(), refCatch.Len())
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"verfploeter/internal/hitlist"
 	"verfploeter/internal/ipv4"
 	"verfploeter/internal/obsv"
-	"verfploeter/internal/packet"
 	"verfploeter/internal/parallel"
 	"verfploeter/internal/rng"
 	"verfploeter/internal/vclock"
@@ -27,7 +26,6 @@ import (
 type Config struct {
 	Hitlist *hitlist.Hitlist
 	Net     *dataplane.Net
-	Clock   *vclock.Clock
 	NSite   int
 
 	// OriginSite is where the prober runs; SourceAddr is the designated
@@ -77,8 +75,6 @@ type Config struct {
 	// draws and the reply fold's first-reply-wins dedup guarantees a
 	// block is never counted twice. Zero (the default) disables retries
 	// and leaves the probe stream byte-identical to earlier releases.
-	// Retries require the in-process collector (Collector == nil): an
-	// external sink gives the prober no view of who answered.
 	Retries int
 
 	// RetryBackoff is the wait before the first retry pass; it doubles
@@ -96,14 +92,6 @@ type Config struct {
 	// default) costs nothing and the measured output is byte-identical
 	// either way. See internal/obsv.
 	Obs *obsv.Registry
-
-	// Collector overrides the reply sink. When nil, Run uses an
-	// in-process Central and returns a complete catchment. When set
-	// (e.g. a ForwardClient), Run only probes — collection, cleaning,
-	// and catchment building happen wherever the frames land. External
-	// sinks receive frames in deterministic order, so this mode sweeps
-	// sequentially on the caller's clock and Net.
-	Collector Collector
 }
 
 // Stats summarizes one round.
@@ -169,8 +157,8 @@ func (cfg *Config) fill() error {
 	if cfg.Hitlist == nil || cfg.Hitlist.Len() == 0 {
 		return fmt.Errorf("%w: empty hitlist", ErrConfig)
 	}
-	if cfg.Net == nil || cfg.Clock == nil {
-		return fmt.Errorf("%w: need Net and Clock", ErrConfig)
+	if cfg.Net == nil {
+		return fmt.Errorf("%w: need Net", ErrConfig)
 	}
 	if cfg.NSite <= 0 {
 		return fmt.Errorf("%w: NSite must be positive", ErrConfig)
@@ -191,9 +179,6 @@ func (cfg *Config) fill() error {
 		return fmt.Errorf("%w: negative Retries", ErrConfig)
 	}
 	if cfg.Retries > 0 {
-		if cfg.Collector != nil {
-			return fmt.Errorf("%w: Retries need the in-process collector (external sinks hide who answered)", ErrConfig)
-		}
 		if cfg.RetryBackoff <= 0 {
 			cfg.RetryBackoff = DefaultRetryBackoff
 		}
@@ -211,39 +196,61 @@ func (cfg *Config) fill() error {
 // It returns the catchment of every responsive block.
 //
 // The round executes on the parallel engine: the sweep runs as
-// fixed-size chunks of the probe permutation — each chunk marshals and
-// sends its probes on its own dataplane fork and virtual clock, offset
-// to the time the rate limiter would reach that chunk — and replies are
-// cleaned and folded by /24-block shards. Every stage merges
-// deterministically, so the catchment and stats are identical for any
-// Workers value.
+// fixed-size chunks of the probe permutation — each chunk sends its
+// probes on its own dataplane fork and virtual clock, offset to the time
+// the rate limiter would reach that chunk — and replies are cleaned and
+// folded by /24-block shards. Every stage merges deterministically, so
+// the catchment and stats are identical for any Workers value.
 func Run(cfg Config) (*Catchment, Stats, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, Stats{}, err
 	}
-	n := cfg.Hitlist.Len()
-	perm := rng.NewPermutation(rng.New(cfg.Seed).Derive("probe-order"), n)
-
-	if cfg.Collector != nil {
-		// Frames go elsewhere; the caller owns cleaning and mapping.
-		stats, err := probeExternal(&cfg, perm)
-		publishRound(cfg.Obs, stats, nil)
+	rd, stats, err := probe(&cfg)
+	if err != nil {
 		return nil, stats, err
 	}
 
-	// Columnar sweep state, indexed by the hitlist's dense block id
-	// (entry order == ascending block order == columnar id). pos32 maps
-	// id → full-permutation position (the base of sequence-number
-	// arithmetic); sendNS maps id → last probe send time in ns (-1 =
-	// never probed). Chunks probe disjoint permutation positions, hence
-	// disjoint ids, so they write sendNS without locks or merges.
-	pos32 := make([]uint32, n)
-	for i := 0; i < n; i++ {
-		pos32[perm.Index(i)] = uint32(i)
+	foldSpan := cfg.Obs.StartSpan("fold", 0)
+	catch, cstats := foldChunksSubset(rd.chunks, cfg.Hitlist, cfg.Subset, rd.pos32, rd.sendNS, cfg.Retries, cfg.NSite, cfg.RoundID, cfg.Cutoff, cfg.Workers)
+	foldSpan.End()
+	stats.Clean = cstats
+	stats.MedianRTT = catch.MedianRTT()
+	stats.Responded = catch.Len()
+	var net dataplane.Stats
+	for c := range rd.chunks {
+		net.Add(rd.chunks[c].netStats)
 	}
-	sendNS := make([]int64, n)
-	for i := range sendNS {
-		sendNS[i] = -1
+	publishRound(cfg.Obs, stats, net)
+	return catch, stats, nil
+}
+
+// round is a finished sweep's input to the fold: every chunk's captured
+// replies plus the columnar send state, indexed by the hitlist's dense
+// block id (entry order == ascending block order == columnar id). pos32
+// maps id → full-permutation position (the base of sequence-number
+// arithmetic); sendNS maps id → last probe send time in ns (-1 = never
+// probed).
+type round struct {
+	chunks []probeChunk
+	pos32  []uint32
+	sendNS []int64
+}
+
+// probe runs the chunked sweep of a filled config and returns its
+// replies and probe statistics (Clean, MedianRTT and Responded are left
+// to the fold).
+func probe(cfg *Config) (*round, Stats, error) {
+	n := cfg.Hitlist.Len()
+	perm := rng.NewPermutation(rng.New(cfg.Seed).Derive("probe-order"), n)
+
+	// Chunks probe disjoint permutation positions, hence disjoint ids,
+	// so they write sendNS without locks or merges.
+	rd := &round{pos32: make([]uint32, n), sendNS: make([]int64, n)}
+	for i := 0; i < n; i++ {
+		rd.pos32[perm.Index(i)] = uint32(i)
+	}
+	for i := range rd.sendNS {
+		rd.sendNS[i] = -1
 	}
 
 	// Chunked sweep: chunk c probes permutation positions [lo, hi) on a
@@ -251,43 +258,34 @@ func Run(cfg Config) (*Catchment, Stats, error) {
 	// round's rate limiter would reach position lo, so capture
 	// timestamps line up with one continuous paced sweep. Replies land
 	// in the fork's reply sink in send order and are stable-sorted by
-	// arrival time afterwards — byte-identical to the order the site
-	// taps would have delivered them, because the virtual clock breaks
-	// arrival-time ties by event creation order, which is send order.
+	// arrival time afterwards, so replies arriving at the same instant
+	// keep their send order.
 	nChunks := (n + probeChunkTargets - 1) / probeChunkTargets
-	chunks := make([]probeChunk, nChunks)
+	rd.chunks = make([]probeChunk, nChunks)
 	parallel.ForEach(cfg.Workers, nChunks, func(c int) {
 		lo := c * probeChunkTargets
 		hi := lo + probeChunkTargets
 		if hi > n {
 			hi = n
 		}
-		ch := &chunks[c]
+		ch := &rd.chunks[c]
 		span := cfg.Obs.StartSpan("sweep", c)
 		clock := vclock.New()
 		clock.Advance(chunkOffset(lo, cfg.Rate))
 		vStart := clock.Now()
 		net := cfg.Net.Fork(clock)
-		// Taps gate delivery (a site without one captures nothing) but
-		// the sink receives every reply parsed, so one no-op serves all.
-		noTap := func([]byte) {}
-		for s := 0; s < cfg.NSite; s++ {
-			net.SetTap(s, noTap)
-		}
 		net.SetReplySink(func(site int, from ipv4.Addr, ident, seq uint16, at time.Duration) {
 			if at > ch.maxAt {
 				ch.maxAt = at
 			}
-			ch.replies = append(ch.replies, Reply{Site: site, At: at, Src: from, Ident: ident, Seq: seq})
+			ch.replies = append(ch.replies, reply{Site: site, At: at, Src: from, Ident: ident, Seq: seq})
 		})
 		sp := cfg.span(perm, lo, hi)
 		ch.stats.Targets = sp.count()
-		if cap(ch.replies) == 0 {
-			ch.replies = make([]Reply, 0, sp.count())
-		}
-		ch.err = sweep(net, clock, &cfg, perm, sp, sendNS, &ch.stats)
+		ch.replies = make([]reply, 0, sp.count())
+		ch.err = sweep(net, clock, cfg, perm, sp, rd.sendNS, &ch.stats)
 		if ch.err == nil && cfg.Retries > 0 {
-			ch.err = retryMissing(net, clock, &cfg, perm, sp, ch, pos32, sendNS)
+			ch.err = retryMissing(net, clock, cfg, perm, sp, ch, rd.pos32, rd.sendNS)
 		}
 		// Drain the schedule; the sink already holds every reply
 		// (including deliberately late ones — the cleaner applies the
@@ -304,36 +302,20 @@ func Run(cfg Config) (*Catchment, Stats, error) {
 
 	var stats Stats
 	var firstErr error
-	for c := range chunks {
-		stats.Targets += chunks[c].stats.Targets
-		stats.Sent += chunks[c].stats.Sent
-		stats.SendErrs += chunks[c].stats.SendErrs
-		stats.Retried += chunks[c].stats.Retried
+	for c := range rd.chunks {
+		ch := &rd.chunks[c]
+		stats.Targets += ch.stats.Targets
+		stats.Sent += ch.stats.Sent
+		stats.SendErrs += ch.stats.SendErrs
+		stats.Retried += ch.stats.Retried
 		if firstErr == nil {
-			firstErr = chunks[c].err
+			firstErr = ch.err
 		}
-		if chunks[c].end > stats.Elapsed {
-			stats.Elapsed = chunks[c].end
+		if ch.end > stats.Elapsed {
+			stats.Elapsed = ch.end
 		}
 	}
-	if firstErr != nil {
-		return nil, stats, firstErr
-	}
-
-	foldSpan := cfg.Obs.StartSpan("fold", 0)
-	catch, cstats := foldChunksSubset(chunks, cfg.Hitlist, cfg.Subset, pos32, sendNS, cfg.Retries, cfg.NSite, cfg.RoundID, cfg.Cutoff, cfg.Workers)
-	foldSpan.End()
-	stats.Clean = cstats
-	stats.MedianRTT = catch.MedianRTT()
-	stats.Responded = catch.Len()
-	if cfg.Obs != nil {
-		var net dataplane.Stats
-		for c := range chunks {
-			net.Add(chunks[c].netStats)
-		}
-		publishRound(cfg.Obs, stats, &net)
-	}
-	return catch, stats, nil
+	return rd, stats, firstErr
 }
 
 // chunkOffset is the virtual time one continuous paced sweep takes to
@@ -401,7 +383,7 @@ func retryMissing(net *dataplane.Net, clock *vclock.Clock, cfg *Config,
 			i := missing[k]
 			id := perm.Index(i)
 			return id, cfg.Hitlist.Entries[id].Addr, uint16(i) + seqOff
-		}, sendNS, false, &ch.stats)
+		}, sendNS, &ch.stats)
 		ch.stats.Retried += len(missing)
 		if err != nil {
 			return err
@@ -414,11 +396,21 @@ func retryMissing(net *dataplane.Net, clock *vclock.Clock, cfg *Config,
 	return nil
 }
 
+// reply is one captured echo reply, tagged with the site that captured it
+// and the virtual capture time — the tuple the fold consumes.
+type reply struct {
+	Site  int
+	At    time.Duration
+	Src   ipv4.Addr
+	Ident uint16
+	Seq   uint16
+}
+
 // probeChunk is one chunk's slice of the round: its captured replies
 // (sink-collected, stable-sorted by arrival time once the chunk
 // drains), sweep stats, and final (absolute) clock value.
 type probeChunk struct {
-	replies []Reply
+	replies []reply
 	maxAt   time.Duration
 	stats   Stats
 	// netStats snapshots the chunk fork's dataplane counters after the
@@ -469,33 +461,8 @@ func (cfg *Config) span(perm *rng.Permutation, lo, hi int) chunkSpan {
 	return sp
 }
 
-// probeExternal is the sequential sweep for external collectors: taps on
-// the caller's Net forward every frame to the sink in one deterministic
-// stream, exactly as a per-site capture box would.
-func probeExternal(cfg *Config, perm *rng.Permutation) (Stats, error) {
-	for s := 0; s < cfg.NSite; s++ {
-		cfg.Net.SetTap(s, Tap(cfg.Collector, s, cfg.Clock.Now))
-	}
-	start := cfg.Clock.Now()
-	sp := cfg.span(perm, 0, cfg.Hitlist.Len())
-	// Targets is known here; Responded stays 0 — the external sink owns
-	// the replies, so response accounting happens wherever frames land.
-	stats := Stats{Targets: sp.count()}
-	err := pacedSend(cfg.Net, cfg.Clock, cfg, sp.count(), func(k int) (int, ipv4.Addr, uint16) {
-		i := sp.pos(k)
-		id := perm.Index(i)
-		return id, cfg.Hitlist.Entries[id].Addr, uint16(i)
-	}, nil, true, &stats)
-	cfg.Clock.RunUntilIdle()
-	stats.Elapsed = cfg.Clock.Now() - start
-	return stats, err
-}
-
 // sweep sends probes for the chunk's permutation span onto the virtual
-// clock, paced by a token bucket, interleaving sends with reply
-// delivery as on a real network. Probes travel as parsed fields
-// (SendEcho) — nothing downstream reads wire bytes, so the per-probe
-// marshal/parse pair would be pure allocation.
+// clock, paced by a token bucket.
 func sweep(net *dataplane.Net, clock *vclock.Clock, cfg *Config,
 	perm *rng.Permutation, sp chunkSpan,
 	sendNS []int64, stats *Stats) error {
@@ -504,20 +471,23 @@ func sweep(net *dataplane.Net, clock *vclock.Clock, cfg *Config,
 		i := sp.pos(k)
 		id := perm.Index(i)
 		return id, cfg.Hitlist.Entries[id].Addr, uint16(i)
-	}, sendNS, false, stats)
+	}, sendNS, stats)
 }
 
-// pacedSend is the shared send loop under the initial sweep, the retry
-// passes, and the external-collector sweep: it emits count probes —
-// dense hitlist id, target address, and ICMP sequence supplied by tgt —
-// paced by a token bucket on the virtual clock, records each send time
-// in the sendNS column (when given), and drains the schedule before
-// returning the first scheduling error. With marshal set, probes go out
-// as real frames via SendProbe — the external-collector path, whose
-// sink consumes wire bytes.
+// pacedSend is the shared send loop under the initial sweep and the
+// retry passes: it emits count probes — dense hitlist id, target
+// address, and ICMP sequence supplied by tgt — paced by a token bucket
+// on the virtual clock, records each send time in the sendNS column, and
+// returns the first send error.
+//
+// Replies reach the sink at send time, so the chunk's forked clock
+// carries no events and pacing is plain arithmetic: the inner loop steps
+// to each instant the token bucket next admits a probe, the outer loop
+// advances in coarse Delay()+1ms strides. The strides fix the chunk's
+// final clock time, which Stats.Elapsed reports and datasets persist.
 func pacedSend(net *dataplane.Net, clock *vclock.Clock, cfg *Config,
 	count int, tgt func(k int) (int, ipv4.Addr, uint16),
-	sendNS []int64, marshal bool, stats *Stats) error {
+	sendNS []int64, stats *Stats) error {
 
 	rl := vclock.NewRateLimiter(clock, cfg.Rate, cfg.Burst)
 	var firstErr error
@@ -525,18 +495,8 @@ func pacedSend(net *dataplane.Net, clock *vclock.Clock, cfg *Config,
 	send := func() {
 		for k < count && rl.Allow() {
 			id, addr, seq := tgt(k)
-			if sendNS != nil {
-				sendNS[id] = int64(clock.Now())
-			}
-			var err error
-			if marshal {
-				raw := packet.MarshalEcho(cfg.SourceAddr, addr,
-					packet.ICMPEchoRequest, cfg.RoundID, seq, nil)
-				err = net.SendProbe(cfg.OriginSite, raw)
-			} else {
-				err = net.SendEcho(cfg.OriginSite, cfg.SourceAddr, addr, cfg.RoundID, seq)
-			}
-			if err != nil {
+			sendNS[id] = int64(clock.Now())
+			if err := net.SendEcho(cfg.OriginSite, cfg.SourceAddr, addr, cfg.RoundID, seq); err != nil {
 				stats.SendErrs++
 				if firstErr == nil {
 					firstErr = err
@@ -546,28 +506,6 @@ func pacedSend(net *dataplane.Net, clock *vclock.Clock, cfg *Config,
 			k++
 		}
 	}
-	if marshal {
-		// The external-collector path delivers replies as clock events on
-		// this same schedule, so pacing must go through the event queue:
-		// replies fire in timestamp order between send steps.
-		var step func()
-		step = func() {
-			send()
-			if k < count {
-				clock.After(rl.Delay(), step)
-			}
-		}
-		step()
-		for k < count {
-			clock.Advance(rl.Delay() + time.Millisecond)
-		}
-		return firstErr
-	}
-	// Sink path: replies are handed to the sink at send time, so the
-	// chunk's forked clock carries no events at all. The event-queue
-	// schedule above — a pending step event drained by coarse Advances —
-	// collapses to plain arithmetic over the same instants: same send
-	// times, same final clock time, zero per-probe event allocations.
 	send()
 	if k < count {
 		stepAt := clock.Now() + rl.Delay()
@@ -607,57 +545,10 @@ func (s *CleanStats) add(o CleanStats) {
 	s.Kept += o.Kept
 }
 
-// Clean filters raw replies: wrong round ident, late arrival, sources we
-// never probed, and duplicates (first reply per source wins).
-func Clean(replies []Reply, probed map[ipv4.Addr]bool, roundID uint16, cutoff time.Duration) ([]Reply, CleanStats) {
-	stats := CleanStats{Total: len(replies)}
-	seen := make(map[ipv4.Addr]bool, len(replies))
-	out := make([]Reply, 0, len(replies))
-	for _, r := range replies {
-		switch {
-		case r.Ident != roundID:
-			stats.WrongRound++
-		case r.At > cutoff:
-			stats.Late++
-		case !probed[r.Src]:
-			stats.Unsolicited++
-		case seen[r.Src]:
-			stats.Duplicates++
-		default:
-			seen[r.Src] = true
-			out = append(out, r)
-		}
-	}
-	stats.Kept = len(out)
-	return out, stats
-}
-
-// BuildCatchment cleans raw replies against the hitlist and folds the
-// survivors into a catchment table.
-func BuildCatchment(replies []Reply, hl *hitlist.Hitlist, nSite int, roundID uint16, cutoff time.Duration) (*Catchment, CleanStats) {
-	one := []probeChunk{{replies: replies}}
-	return foldChunks(one, hl, nSite, roundID, cutoff, 0)
-}
-
-// foldChunks cleans and folds the chunks' replies into one catchment by
-// /24-block shards. All order-dependent cleaning state — duplicate
-// suppression per source, first-reply-wins per block — is keyed by the
-// source's block, so sharding by that block keeps every interaction
-// inside one shard, which walks the chunks in chunk order. The shard
-// count therefore cannot change the result; it only sets parallel width.
-func foldChunks(chunks []probeChunk, hl *hitlist.Hitlist, nSite int, roundID uint16, cutoff time.Duration, workers int) (*Catchment, CleanStats) {
-	return foldChunksSubset(chunks, hl, nil, nil, nil, 0, nSite, roundID, cutoff, workers)
-}
-
 // isEchoID reports whether a reply from the hitlist address with dense
 // id is that address's own echo: its sequence number matches the
-// address's full-permutation position on some retry attempt. A nil
-// pos32 (the raw-replies path, which has no permutation) treats every
-// reply as an echo, reproducing the historic first-reply-wins fold.
+// address's full-permutation position on some retry attempt.
 func isEchoID(pos32 []uint32, id int, retries int, seq uint16) bool {
-	if pos32 == nil {
-		return true
-	}
 	d := seq - uint16(pos32[id])
 	for a := 0; a <= retries; a++ {
 		if d == uint16(a)*retrySeqStride {
@@ -676,22 +567,30 @@ func isEchoID(pos32 []uint32, id int, retries int, seq uint16) bool {
 // permutation position; subset-excluded ids are never sent, so their
 // sendNS stays -1.)
 func sentAtNS(sendNS []int64, pos32 []uint32, id, ci int) int64 {
-	if sendNS == nil || pos32 == nil {
-		return -1
-	}
 	if int(pos32[id])/probeChunkTargets != ci {
 		return -1
 	}
 	return sendNS[id]
 }
 
-// foldChunksSubset is foldChunks with the sweep's target subset: the
-// probed set is filtered to it, so a cross-block aliased reply from an
-// unprobed block counts as unsolicited — exactly what a capture box that
-// never probed the block would conclude.
+// foldChunksSubset applies the §4 cleaning rules to the chunks' replies
+// and folds the survivors into one catchment by /24-block shards. Each
+// reply is dropped as wrong-round (another round's ident), late (past
+// the cutoff), unsolicited (not a probed hitlist address), or duplicate
+// (its source already kept a reply); the rest are kept. All
+// order-dependent state — duplicate suppression and the kept reply per
+// source — is keyed by the source's block, so sharding by that block
+// keeps every interaction inside one shard, which walks the chunks in
+// chunk order. The shard count therefore cannot change the result; it
+// only sets parallel width.
 //
-// When pos32 is non-nil, the winner for each source is its first
-// sequence-matched echo, and only echoes carry an RTT. Aliased replies
+// The probed set is filtered to the sweep's target subset, so a
+// cross-block aliased reply from an unprobed block counts as unsolicited
+// — exactly what a capture box that never probed the block would
+// conclude.
+//
+// The winner for each source is its first sequence-matched echo, and
+// only echoes carry an RTT. Aliased replies
 // (sequence from some other target's probe) win only when no echo ever
 // arrives, and then site-only. This makes the per-block result a
 // function of the round's reply *set* rather than its arrival order:
@@ -707,9 +606,7 @@ func sentAtNS(sendNS []int64, pos32 []uint32, id, ci int) int64 {
 func foldChunksSubset(chunks []probeChunk, hl *hitlist.Hitlist, sub *ipv4.BlockSet, pos32 []uint32, sendNS []int64, retries int, nSite int, roundID uint16, cutoff time.Duration, workers int) (*Catchment, CleanStats) {
 	ix := hl.Index()
 	catch := NewIndexedCatchment(nSite, ix)
-	if sendNS != nil {
-		catch.ensureRTTs()
-	}
+	catch.ensureRTTs()
 	// seen tracks the kept reply's class per source: keptAlias entries
 	// are upgraded in place when the source's echo arrives.
 	const (

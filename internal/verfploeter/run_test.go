@@ -14,35 +14,38 @@ import (
 )
 
 type world struct {
-	top   *topology.Topology
-	clock *vclock.Clock
-	net   *dataplane.Net
-	hl    *hitlist.Hitlist
-	asg   *bgp.Assignment
+	top *topology.Topology
+	net *dataplane.Net
+	hl  *hitlist.Hitlist
+	asg *bgp.Assignment
 }
 
 func newWorld(t *testing.T, seed uint64, imp dataplane.Impairments) *world {
 	t.Helper()
-	top := topology.Generate(topology.DefaultParams(topology.SizeTiny, seed))
+	return newSizedWorld(t, topology.SizeTiny, seed, imp)
+}
+
+func newSizedWorld(t *testing.T, size topology.Size, seed uint64, imp dataplane.Impairments) *world {
+	t.Helper()
+	top := topology.Generate(topology.DefaultParams(size, seed))
 	anns := []bgp.Announcement{
 		{Site: 0, UpstreamASN: top.ASes[0].ASN, Lat: 34, Lon: -118},
 		{Site: 1, UpstreamASN: top.ASes[1].ASN, Lat: 26, Lon: -80},
 	}
 	asg := bgp.Compute(top, anns).Assign()
-	clock := vclock.New()
 	net := dataplane.New(dataplane.Config{
-		Top: top, Clock: clock, Seed: seed, Impair: imp,
+		Top: top, Clock: vclock.New(), Seed: seed, Impair: imp,
 		AnycastPrefix: ipv4.MustParsePrefix("198.18.0.0/24"),
 	})
 	net.SetAssignment(asg)
-	net.AttachSite(0, nil, nil)
-	net.AttachSite(1, nil, nil)
-	return &world{top: top, clock: clock, net: net, hl: hitlist.Build(top, seed), asg: asg}
+	net.AttachSite(0, nil)
+	net.AttachSite(1, nil)
+	return &world{top: top, net: net, hl: hitlist.Build(top, seed), asg: asg}
 }
 
 func (w *world) config(round uint16) Config {
 	return Config{
-		Hitlist: w.hl, Net: w.net, Clock: w.clock, NSite: 2,
+		Hitlist: w.hl, Net: w.net, NSite: 2,
 		OriginSite: 0, SourceAddr: ipv4.MustParseAddr("198.18.0.1"),
 		RoundID: round, Seed: 42,
 	}
@@ -131,12 +134,10 @@ func TestRunPacing(t *testing.T) {
 	w := newWorld(t, 11, dataplane.Impairments{})
 	cfg := w.config(3)
 	cfg.Rate = 1000 // slow: tiny topology ~ thousands of targets
-	start := w.clock.Now()
 	_, stats, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = start
 	wantMin := time.Duration(float64(w.hl.Len())/1000*0.8) * time.Second
 	if stats.Elapsed < wantMin {
 		t.Errorf("elapsed %v for %d probes at 1k/s, want >= %v", stats.Elapsed, w.hl.Len(), wantMin)
@@ -194,25 +195,34 @@ func TestRunConfigValidation(t *testing.T) {
 	}
 }
 
-func TestRunWithExternalCollector(t *testing.T) {
-	// The external-collector mode probes but leaves collection to the
-	// caller; catchment must be nil and the sink must receive frames.
-	w := newWorld(t, 19, dataplane.Impairments{})
-	central := &Central{}
-	cfg := w.config(5)
-	cfg.Collector = central
-	catch, _, err := Run(cfg)
+// Origin independence: the catchment is a property of BGP, not of where
+// the prober runs (§3.1: queries are sent from the anycast prefix; the
+// reply path alone decides the site). Probing from site 1 must map every
+// block identically to probing from site 0.
+func TestOriginSiteDoesNotChangeCatchment(t *testing.T) {
+	a := newWorld(t, 43, dataplane.DefaultImpairments())
+	cfgA := a.config(3)
+	cfgA.OriginSite = 0
+	fromLAX, _, err := Run(cfgA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if catch != nil {
-		t.Error("external collector mode should not build a catchment")
+
+	b := newWorld(t, 43, dataplane.DefaultImpairments())
+	cfgB := b.config(3)
+	cfgB.OriginSite = 1
+	fromMIA, _, err := Run(cfgB)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(central.Replies) == 0 {
-		t.Fatal("external collector got no replies")
+
+	if fromLAX.Len() != fromMIA.Len() {
+		t.Fatalf("origin changed coverage: %d vs %d", fromLAX.Len(), fromMIA.Len())
 	}
-	c2, _ := BuildCatchment(central.Replies, w.hl, 2, 5, w.clock.Now())
-	if c2.Len() == 0 {
-		t.Fatal("catchment from external collector empty")
-	}
+	fromLAX.Range(func(blk ipv4.Block, site int) bool {
+		if s2, ok := fromMIA.SiteOf(blk); !ok || s2 != site {
+			t.Fatalf("origin changed catchment at %v: %d vs %d", blk, site, s2)
+		}
+		return true
+	})
 }

@@ -1,9 +1,10 @@
 #!/bin/sh
-# check.sh — the PR gate: vet, build, race-enabled tests, and a bench
-# smoke over one paper table. The race detector is mandatory because the
-# mapping pipeline is concurrent: every catchment, assignment, and
-# experiment report must be identical at workers=1 and workers=N, and
-# the determinism tests only mean something when the run is race-free.
+# check.sh — the PR gate: vet, build, race-enabled tests, the benchmark
+# module's vet and tests, and a bench smoke over one paper table. The
+# race detector is mandatory because the mapping pipeline is concurrent:
+# every catchment, assignment, and experiment report must be identical
+# at workers=1 and workers=N, and the determinism tests only mean
+# something when the run is race-free.
 #
 #   ./scripts/check.sh          # full gate
 #   VP_CHECK_SHORT=1 ./scripts/check.sh   # short-mode tests (quick loop)
@@ -34,6 +35,13 @@ else
 	echo "== go test -race ./..."
 	go test -race ./...
 fi
+
+# The benchmark (vpbench/) is a separate Go module that replaces back
+# onto this repo, so ./... above skips it. It imports the repo's
+# packages, so vet and test it too: an API change here must not leave
+# the benchmark unbuildable.
+echo "== vpbench module: go vet + go test"
+(cd vpbench && go vet ./... && go test ./...)
 
 # Faults smoke: a fixed-seed lossy run must reproduce its golden
 # response-rate line exactly — the fault layer's determinism contract
