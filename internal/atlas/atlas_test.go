@@ -8,7 +8,6 @@ import (
 	"verfploeter/internal/dnswire"
 	"verfploeter/internal/ipv4"
 	"verfploeter/internal/topology"
-	"verfploeter/internal/vclock"
 )
 
 type testNamer struct{ names []string }
@@ -31,7 +30,7 @@ func testNet(t *testing.T, seed uint64) (*topology.Topology, *dataplane.Net, *te
 	}
 	asg := bgp.Compute(top, anns).Assign()
 	net := dataplane.New(dataplane.Config{
-		Top: top, Clock: vclock.New(), Seed: seed,
+		Top: top, Seed: seed,
 		Impair:        dataplane.DefaultImpairments(),
 		AnycastPrefix: ipv4.MustParsePrefix("198.18.0.0/24"),
 	})

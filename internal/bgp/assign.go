@@ -69,13 +69,27 @@ func (t *Table) AssignWorkers(workers int) *Assignment {
 		FlipProb:  make([]float32, len(blocks)),
 		Margin:    make([]float32, len(blocks)),
 	}
-	parallel.Chunked(workers, len(blocks), func(lo, hi int) {
-		var dist []float64 // per-chunk scratch, reused across blocks
+	dist := workerDist(workers, t.NSite)
+	parallel.ChunkedWorker(workers, len(blocks), func(w, lo, hi int) {
+		d := dist[w]
 		for i := lo; i < hi; i++ {
-			dist = t.assignBlock(a, i, dist)
+			d = t.assignBlock(a, i, d)
 		}
+		dist[w] = d
 	})
 	return a
+}
+
+// workerDist returns assignBlock's distance scratch for each pool
+// worker, carved from one slab with room for nSite candidates each;
+// append grows a worker's buffer past that if an AS holds more.
+func workerDist(workers, nSite int) [][]float64 {
+	dist := make([][]float64, parallel.Workers(workers))
+	slab := make([]float64, len(dist)*nSite)
+	for w := range dist {
+		dist[w] = slab[w*nSite : w*nSite : (w+1)*nSite]
+	}
+	return dist
 }
 
 // assignBlock computes block i's site assignment into a. dist is
@@ -197,11 +211,13 @@ func (t *Table) AssignDelta(prev *Assignment) *Assignment {
 	for _, as := range t.Changed {
 		work = append(work, ids[off[as]:off[as+1]]...)
 	}
-	parallel.Chunked(0, len(work), func(lo, hi int) {
-		var dist []float64
+	dist := workerDist(0, t.NSite)
+	parallel.ChunkedWorker(0, len(work), func(w, lo, hi int) {
+		d := dist[w]
 		for _, bi := range work[lo:hi] {
-			dist = t.assignBlock(a, int(bi), dist)
+			d = t.assignBlock(a, int(bi), d)
 		}
+		dist[w] = d
 	})
 	if o := obsHooks.Load(); o != nil {
 		o.assignBlocksReused.AddInt(len(blocks) - len(work))

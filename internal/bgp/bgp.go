@@ -462,12 +462,60 @@ func (c *compute) phaseProvider() {
 
 // --- refine ----------------------------------------------------------
 
-// refineScratch is one worker chunk's working set for refine-pass
+// refineScratch is one worker's working set for refine-pass
 // evaluation.
 type refineScratch struct {
 	offers, exp, sel []Route
 	winning          []bool
 }
+
+// refineWorker is one pool worker's state for the refine passes:
+// evaluation scratch plus an arena for the rows it keeps. A compute
+// allocates one per worker, and every chunk that worker runs, in every
+// pass, reuses it, so the allocation count does not grow with the
+// number of chunks (about four per worker).
+type refineWorker struct {
+	rs    refineScratch
+	arena routeArena
+}
+
+type refineWorkers []refineWorker
+
+// newRefineWorkers sizes each worker's arena for its share of rows
+// (ASes) per pass, and carves every worker's scratch out of one slab
+// per type, with room for refineScratchRoutes routes per buffer before
+// append has to grow it.
+func newRefineWorkers(nSite, rows int) refineWorkers {
+	ws := make(refineWorkers, parallel.Workers(0))
+	winning := make([]bool, len(ws)*nSite)
+	routes := make([]Route, 3*len(ws)*refineScratchRoutes)
+	buf := func(k int) []Route {
+		return routes[k*refineScratchRoutes : k*refineScratchRoutes : (k+1)*refineScratchRoutes]
+	}
+	for w := range ws {
+		ws[w].rs = refineScratch{
+			offers: buf(3 * w), exp: buf(3*w + 1), sel: buf(3*w + 2),
+			winning: winning[w*nSite : (w+1)*nSite : (w+1)*nSite],
+		}
+		ws[w].arena = newRouteArena(2 * rows / len(ws))
+	}
+	return ws
+}
+
+// startPass starts every worker's arena on a fresh chunk, so the rows
+// a pass keeps never share a chunk with an earlier pass's dead rows: a
+// Table — which the route cache may keep for a long time — retains
+// only its final rows.
+func (ws refineWorkers) startPass() {
+	for w := range ws {
+		ws[w].arena.cur = nil
+	}
+}
+
+// refineScratchRoutes is each scratch buffer's starting capacity; a
+// buffer that append grows past it keeps its new size for the rest of
+// the compute.
+const refineScratchRoutes = 64
 
 // evalRefineAS computes one AS's refine-pass output from view (the
 // previous pass's candidate rows for every AS): candidate row (in the
@@ -531,7 +579,7 @@ func (c *compute) evalRefineAS(i int, view [][]Route, rs *refineScratch) ([]Rout
 //
 // The rebuild is embarrassingly parallel: AS i reads the (frozen) slabs
 // plus the previous pass's rows and writes only its own outputs, so it
-// runs on the parallel pool with per-chunk scratch and arenas; results
+// runs on the parallel pool with per-worker scratch and arenas; results
 // are identical at any width.
 func (c *compute) refine() {
 	t := c.Table
@@ -545,13 +593,14 @@ func (c *compute) refine() {
 	in := c.cands // pass 0 reads the post-phase snapshot
 	out := bufA
 	var final [][]Route
+	ws := newRefineWorkers(t.NSite, n)
 	for pass := 0; pass < maxRefinePasses; pass++ {
-		parallel.Chunked(0, n, func(lo, hi int) {
-			rs := refineScratch{winning: make([]bool, t.NSite)}
-			arena := newRouteArena((hi - lo) * 2)
+		ws.startPass()
+		parallel.ChunkedWorker(0, n, func(w, lo, hi int) {
+			rw := &ws[w]
 			for i := lo; i < hi; i++ {
-				sel, alt := c.evalRefineAS(i, in, &rs)
-				out[i] = arena.copyIn(sel)
+				sel, alt := c.evalRefineAS(i, in, &rw.rs)
+				out[i] = rw.arena.copyIn(sel)
 				t.AltSite[i] = alt
 				if routesEq(in[i], out[i]) {
 					changed[i] = 0

@@ -288,17 +288,18 @@ func (c *compute) refineDelta(prev *Table, dPh []int32) int {
 	t.byteMask = make([]uint8, n)
 
 	in := c.cands // pass 1 reads the post-phase slabs, like cold pass 0
+	ws := newRefineWorkers(t.NSite, len(cset))
 	for pass := 1; ; pass++ {
+		ws.startPass()
 		members := cset // frozen for this pass; growth lands next pass
 		flags := make([]uint8, len(members))
 		rows := make([][]Route, len(members))
-		parallel.Chunked(0, len(members), func(lo, hi int) {
-			rs := refineScratch{winning: make([]bool, t.NSite)}
-			arena := newRouteArena((hi - lo) * 2)
+		parallel.ChunkedWorker(0, len(members), func(w, lo, hi int) {
+			rw := &ws[w]
 			for j := lo; j < hi; j++ {
 				i := members[j]
-				sel, alt := c.evalRefineAS(int(i), in, &rs)
-				row := arena.copyIn(sel)
+				sel, alt := c.evalRefineAS(int(i), in, &rw.rs)
+				row := rw.arena.copyIn(sel)
 				rows[j] = row
 				t.AltSite[i] = alt
 				var f uint8

@@ -36,7 +36,6 @@ import (
 	"verfploeter/internal/ipv4"
 	"verfploeter/internal/obsv"
 	"verfploeter/internal/topology"
-	"verfploeter/internal/vclock"
 )
 
 // Impairments tunes the data plane's misbehavior.
@@ -69,7 +68,6 @@ func DefaultImpairments() Impairments {
 // Config assembles a Net.
 type Config struct {
 	Top    *topology.Topology
-	Clock  *vclock.Clock
 	Seed   uint64
 	Impair Impairments
 	// AnycastPrefix is the service prefix; probe sources and anycast
@@ -156,10 +154,10 @@ func (s Stats) PublishObs(r *obsv.Registry) {
 //
 // # Concurrency contract
 //
-// A Net is confined to one goroutine at a time: it shares a virtual
-// clock with its callers, and every packet path (SendEcho, QueryAnycast)
-// mutates counters and feeds the reply sink without locks, by design —
-// single-threaded execution over a virtual clock is what makes runs
+// A Net is confined to one goroutine at a time: every packet path
+// (SendBurst, QueryAnycast) mutates counters and feeds the reply sink
+// without locks, by design — single-threaded execution, with send
+// instants taken from the caller's virtual clock, is what makes runs
 // reproducible.
 // Parallelism happens *around* the Net, never inside it: the parallel
 // mapping engine gives each probe chunk, measurement round, and
@@ -167,9 +165,9 @@ func (s Stats) PublishObs(r *obsv.Registry) {
 // immutable inputs a Net reads (Config.Top, an installed
 // *bgp.Assignment) may be shared freely across forks.
 //
-// The contract is asserted cheaply: re-entering a Net from a second
-// goroutine mid-operation panics (see enter), and the package's tests
-// run under the race detector.
+// The contract is asserted once per burst or query: re-entering a Net
+// from a second goroutine mid-operation panics (see enter), and the
+// package's tests run under the race detector.
 type Net struct {
 	cfg     Config
 	asg     *bgp.Assignment
@@ -195,21 +193,24 @@ type Net struct {
 }
 
 // ReplySink receives one echo reply in parsed form: the capturing site,
-// the reply's source address, its ICMP ident/seq, and the virtual time
-// it arrives at the site. It models the per-site packet captures of
-// §3.1 feeding one central analysis. Delivery happens synchronously
-// inside SendEcho — at send time, not at the arrival timestamp — so a
-// sink may observe replies "from the future"; consumers that care about
-// arrival order sort by at, and consumers modeling a live view filter
-// at <= now.
-type ReplySink func(site int, from ipv4.Addr, ident, seq uint16, at time.Duration)
+// the reply's source address and the index of its block in
+// Config.Top.Blocks, its ICMP ident/seq, and the virtual time it
+// arrives at the site. It models the per-site packet captures of §3.1
+// feeding one central analysis. Delivery happens synchronously inside
+// SendBurst, in probe order — at send time, not at the arrival
+// timestamp — so a sink may observe replies "from the future".
+// Replies to one probe arrive in timestamp order, but a later probe's
+// reply may arrive before an earlier probe's; consumers that need
+// capture order sort by at (the sweep stable-sorts each chunk), and
+// consumers modeling a live view filter at <= now.
+type ReplySink func(site int, from ipv4.Addr, blk int, ident, seq uint16, at time.Duration)
 
 // SetReplySink installs fn as the capture path: every reply the data
 // plane delivers to an attached site is handed to fn with its site,
-// source, ident, seq, and arrival time. No frame is marshaled and no
-// clock event is scheduled, so delivery costs no allocation. A Net
-// without a sink counts its replies and drops them. Forks do not
-// inherit the sink.
+// source and source block index, ident, seq, and arrival time. No frame
+// is marshaled and no clock event is scheduled, so delivery costs no
+// allocation. A Net without a sink counts its replies and drops them.
+// Forks do not inherit the sink.
 func (n *Net) SetReplySink(fn ReplySink) { n.sink = fn }
 
 // Errors surfaced to callers.
@@ -221,34 +222,33 @@ var (
 
 // New builds a Net. Sites are attached afterwards.
 func New(cfg Config) *Net {
-	if cfg.Top == nil || cfg.Clock == nil {
-		panic("dataplane: Config needs Top and Clock")
+	if cfg.Top == nil {
+		panic("dataplane: Config needs Top")
 	}
 	return &Net{cfg: cfg}
 }
 
 // Fork returns an independent Net over the same topology, seed,
-// impairments, fault profile, and prefixes, driven by its own clock:
-// same routing state (assignments, round) and attached sites, fresh DNS
-// handlers, reply sink, counters, and ICMP rate-limit state. The
-// parallel mapping engine forks the Net once per probe chunk or round so
-// each worker owns a whole single-threaded simulation; because every
-// impairment and injected fault is a deterministic function of (seed,
-// block, round[, seq]), a fork delivers exactly the packets the parent
-// would.
-func (n *Net) Fork(clock *vclock.Clock) *Net {
-	cfg := n.cfg
-	cfg.Clock = clock
-	f := New(cfg)
+// impairments, fault profile, and prefixes: same routing state
+// (assignments, round) and attached sites, fresh DNS handlers, reply
+// sink, counters, and ICMP rate-limit state. The parallel mapping
+// engine forks the Net once per probe chunk or round so each worker
+// owns a whole single-threaded simulation; because every impairment and
+// injected fault is a deterministic function of (seed, block,
+// round[, seq]), a fork delivers exactly the packets the parent would.
+func (n *Net) Fork() *Net {
+	f := New(n.cfg)
 	f.asg, f.testAsg, f.round = n.asg, n.testAsg, n.round
 	f.dns = make([]func(query []byte) []byte, len(n.dns))
 	return f
 }
 
 // enter asserts the single-goroutine contract on packet paths; leave is
-// its counterpart. One uncontended atomic CAS per packet — noise next to
-// the impairment coins and delivery — buys a crash instead of silent corruption when
-// two goroutines share a Net.
+// its counterpart. It buys a crash instead of silent corruption when two
+// goroutines share a Net. Taken per probe, the CAS would cost about a
+// quarter second of CPU per internet-tier round — more than several
+// impairment coins — so the probe path takes it once per SendBurst and
+// a query once per QueryAnycast.
 func (n *Net) enter() {
 	if !n.busy.CompareAndSwap(false, true) {
 		panic("dataplane: concurrent use of Net — fork it per goroutine (see Net's concurrency contract)")
@@ -320,25 +320,43 @@ func (n *Net) hash(kind string, block ipv4.Block, round uint32) float64 {
 	return float64(h&0xfffffffffffff) / float64(1<<52)
 }
 
-// SendEcho injects one ICMP echo request from the anycast measurement
-// address src (at originSite) toward a hitlist target dst. Replies —
-// zero, one, or many — go to the reply sink, tagged with the catchment
-// site that captures them. The probe travels as parsed fields: no
-// counter, impairment coin, or fault decision reads wire bytes.
-func (n *Net) SendEcho(originSite int, src, dst ipv4.Addr, ident, seq uint16) error {
+// Probe is one echo request of a burst: the target address, its ICMP
+// sequence number, the virtual instant it leaves the prober, and a
+// block-id hint — the index of the target's block in Config.Top.Blocks,
+// or -1 when the caller does not know it. A hitlist built from the
+// topology shares the topology's dense block ids, so the sweep passes
+// its hitlist id and the lookup costs one compare. A hint that names
+// another block is ignored in favor of the index's binary search: a
+// wrong hint costs time, never correctness.
+type Probe struct {
+	Dst  ipv4.Addr
+	Seq  uint16
+	Hint int32
+	At   time.Duration
+}
+
+// SendBurst injects a burst of ICMP echo requests, all from the anycast
+// measurement address src (at originSite) and all carrying ident — the
+// probes one pacing stride of the prober's token bucket admits, each
+// stamped with its own send instant. Replies — zero, one, or many per
+// probe — go to the reply sink in probe order, tagged with the catchment
+// site that captures them. Probes travel as parsed fields: no counter,
+// impairment coin, or fault decision reads wire bytes.
+//
+// A probe fails only when its source or the installed assignment is
+// wrong, and both are fixed across a burst, so the returned error is
+// every probe's error: either the whole burst was sent or none of it
+// was. Every probe counts as sent either way.
+func (n *Net) SendBurst(originSite int, src ipv4.Addr, ident uint16, burst []Probe) error {
 	n.enter()
 	defer n.leave()
-	n.stats.ProbesSent++
+	n.stats.ProbesSent += uint64(len(burst))
+	if len(burst) == 0 {
+		return nil
+	}
 	if n.asg == nil {
 		return ErrNoAssignment
 	}
-	return n.sendEcho(originSite, src, dst, ident, seq)
-}
-
-// sendEcho carries a probe through prefix validation, the impairment
-// and fault gauntlet, and reply delivery. Counters must be touched in
-// exactly this order — the golden smokes pin them.
-func (n *Net) sendEcho(originSite int, src, dst ipv4.Addr, ident, seq uint16) error {
 	asg := n.asg
 	switch {
 	case n.cfg.AnycastPrefix.Contains(src):
@@ -349,14 +367,34 @@ func (n *Net) sendEcho(originSite int, src, dst ipv4.Addr, ident, seq uint16) er
 		}
 		asg = n.testAsg
 	default:
-		n.stats.BadPackets++
+		n.stats.BadPackets += uint64(len(burst))
 		return ErrBadSource
 	}
-	target := dst
-	bi := n.cfg.Top.BlockIndex(target.Block())
+	for i := range burst {
+		n.sendEcho(asg, originSite, &burst[i], ident)
+	}
+	return nil
+}
+
+// blockOf resolves a probe's target to its index in Config.Top.Blocks,
+// trusting the hint only when it names the target's block.
+func (n *Net) blockOf(p *Probe) int {
+	blocks := n.cfg.Top.Blocks
+	if h := int(p.Hint); uint(h) < uint(len(blocks)) && blocks[h].Block == p.Dst.Block() {
+		return h
+	}
+	return n.cfg.Top.BlockIndex(p.Dst.Block())
+}
+
+// sendEcho carries one validated probe through the impairment and fault
+// gauntlet and reply delivery. Counters must be touched in exactly this
+// order — the golden smokes pin them.
+func (n *Net) sendEcho(asg *bgp.Assignment, originSite int, p *Probe, ident uint16) {
+	target, seq := p.Dst, p.Seq
+	bi := n.blockOf(p)
 	if bi < 0 {
 		n.stats.UnknownBlocks++
-		return nil // probing unrouted space: silence, like the real thing
+		return // probing unrouted space: silence, like the real thing
 	}
 	binfo := &n.cfg.Top.Blocks[bi]
 	injectFaults := n.cfg.Faults.Enabled()
@@ -367,18 +405,18 @@ func (n *Net) sendEcho(originSite int, src, dst ipv4.Addr, ident, seq uint16) er
 		// coin so a retry with a fresh sequence is an independent draw.
 		if n.cfg.Faults.Silent(binfo.Block) {
 			n.stats.FaultSilenced++
-			return nil
+			return
 		}
 		if n.cfg.Faults.DropProbe(binfo.Block, n.round, seq) {
 			n.stats.FaultProbeLost++
-			return nil
+			return
 		}
 	}
 
 	// Does the representative answer this round?
 	if !n.responds(binfo) {
 		n.stats.Unresponsive++
-		return nil
+		return
 	}
 
 	if injectFaults && n.cfg.Faults.RateLimit > 0 {
@@ -390,7 +428,7 @@ func (n *Net) sendEcho(originSite int, src, dst ipv4.Addr, ident, seq uint16) er
 		}
 		if n.icmpSent[binfo.Block] >= n.cfg.Faults.RateLimit {
 			n.stats.FaultRateLimited++
-			return nil
+			return
 		}
 		n.icmpSent[binfo.Block]++
 	}
@@ -402,15 +440,15 @@ func (n *Net) sendEcho(originSite int, src, dst ipv4.Addr, ident, seq uint16) er
 		// propagation this is unreachable, but partial announcements are
 		// a legitimate scenario.)
 		n.stats.Unresponsive++
-		return nil
+		return
 	}
 
 	// Source address: usually the probed address, sometimes an alias.
-	from := target
+	from, fromBI := target, bi
 	if n.hash("alias", binfo.Block, n.round) < n.cfg.Impair.AliasFrac {
 		n.stats.Aliased++
 		if n.hash("xalias", binfo.Block, n.round) < n.cfg.Impair.CrossAlias && bi+1 < len(n.cfg.Top.Blocks) {
-			from = n.cfg.Top.Blocks[bi+1].Block.Addr(uint8(target) & 0xff)
+			from, fromBI = n.cfg.Top.Blocks[bi+1].Block.Addr(uint8(target)&0xff), bi+1
 		} else {
 			from = target.Block().Addr(uint8(target) + 101)
 		}
@@ -421,11 +459,11 @@ func (n *Net) sendEcho(originSite int, src, dst ipv4.Addr, ident, seq uint16) er
 		// since the path drops rather than the host — lost in flight.
 		if n.cfg.Faults.Blackout(site, n.round) {
 			n.stats.FaultBlackouts++
-			return nil
+			return
 		}
 		if n.cfg.Faults.DropReply(binfo.Block, n.round, seq) {
 			n.stats.FaultReplyLost++
-			return nil
+			return
 		}
 	}
 
@@ -450,14 +488,12 @@ func (n *Net) sendEcho(originSite int, src, dst ipv4.Addr, ident, seq uint16) er
 		n.stats.Duplicates += uint64(extra)
 	}
 
-	now := n.cfg.Clock.Now()
 	for c := 0; c < copies; c++ {
 		n.stats.Replies++
 		if n.sink != nil {
-			n.sink(site, from, ident, seq, now+delay+time.Duration(c)*50*time.Microsecond)
+			n.sink(site, from, fromBI, ident, seq, p.At+delay+time.Duration(c)*50*time.Microsecond)
 		}
 	}
-	return nil
 }
 
 func (n *Net) replyDelay(asg *bgp.Assignment, b *topology.BlockInfo, originSite, catchSite int) time.Duration {

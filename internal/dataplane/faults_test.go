@@ -88,8 +88,8 @@ func TestRateLimitCapsRepliesPerRound(t *testing.T) {
 	}
 
 	send := func(seq uint16) {
-		if err := f.net.SendEcho(0, measurementAddr(), target, 7, seq); err != nil {
-			t.Fatalf("SendEcho: %v", err)
+		if err := sendOne(f.net, measurementAddr(), target, 7, seq); err != nil {
+			t.Fatalf("SendBurst: %v", err)
 		}
 	}
 	for seq := uint16(0); seq < 5; seq++ {

@@ -56,6 +56,11 @@ const (
 	// MaxMetaSites caps the metadata site-code list; real deployments
 	// have tens of sites, so anything past this is a corrupt length.
 	MaxMetaSites = 4096
+	// MaxString caps a metadata string (dataset ID, scenario name, site
+	// code) in bytes. Writers refuse longer strings instead of cutting
+	// them, which could split a rune and would read back different
+	// metadata than was written.
+	MaxString = 1 << 15
 )
 
 // ErrFormat is returned (wrapped) for malformed dataset files.
@@ -358,30 +363,66 @@ func Diff(a, b *Dataset) (DiffReport, error) {
 	return rep, nil
 }
 
+// checkMeta enforces the metadata limits, so a writer fails before it
+// emits a byte rather than producing a record that reads back
+// differently.
+func checkMeta(m Meta) error {
+	if len(m.Sites) > MaxMetaSites {
+		return fmt.Errorf("%w: %d metadata sites (max %d)", ErrLimit, len(m.Sites), MaxMetaSites)
+	}
+	if err := checkString("dataset ID", m.ID); err != nil {
+		return err
+	}
+	if err := checkString("scenario", m.Scenario); err != nil {
+		return err
+	}
+	for _, code := range m.Sites {
+		if err := checkString("site code", code); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func checkString(what, s string) error {
+	if len(s) > MaxString {
+		return fmt.Errorf("%w: %s of %d bytes (max %d)", ErrLimit, what, len(s), MaxString)
+	}
+	return nil
+}
+
 // --- primitive serialization helpers ---
 
+// The writeUN helpers append straight into the bufio.Writer's free
+// buffer space, flushing first when fewer than N bytes are free. A
+// local [N]byte passed to Write would escape to the heap — one
+// allocation per field, millions per internet-tier dataset. A flush
+// error sticks to the bufio.Writer and surfaces at the final Flush.
+
 func writeU16(w *bufio.Writer, v uint16) {
-	var b [2]byte
-	binary.BigEndian.PutUint16(b[:], v)
-	w.Write(b[:])
+	if w.Available() < 2 {
+		w.Flush()
+	}
+	w.Write(binary.BigEndian.AppendUint16(w.AvailableBuffer(), v))
 }
 
 func writeU32(w *bufio.Writer, v uint32) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	w.Write(b[:])
+	if w.Available() < 4 {
+		w.Flush()
+	}
+	w.Write(binary.BigEndian.AppendUint32(w.AvailableBuffer(), v))
 }
 
 func writeU64(w *bufio.Writer, v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	w.Write(b[:])
+	if w.Available() < 8 {
+		w.Flush()
+	}
+	w.Write(binary.BigEndian.AppendUint64(w.AvailableBuffer(), v))
 }
 
+// writeString writes a length-prefixed string; checkMeta has bounded
+// its length by MaxString.
 func writeString(w *bufio.Writer, s string) {
-	if len(s) > 1<<15 {
-		s = s[:1<<15]
-	}
 	writeU16(w, uint16(len(s)))
 	w.WriteString(s)
 }
@@ -414,6 +455,9 @@ func readString(r *bufio.Reader) (string, error) {
 	n, err := readU16(r)
 	if err != nil {
 		return "", err
+	}
+	if n > MaxString {
+		return "", fmt.Errorf("%w: string of %d bytes (max %d)", ErrFormat, n, MaxString)
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {

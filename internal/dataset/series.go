@@ -217,8 +217,8 @@ func WriteSeries(w io.Writer, s *Series) error {
 	if s == nil || s.Baseline == nil {
 		return fmt.Errorf("%w: nil series or baseline", ErrFormat)
 	}
-	if len(s.Meta.Sites) > MaxMetaSites {
-		return fmt.Errorf("%w: %d metadata sites (max %d)", ErrLimit, len(s.Meta.Sites), MaxMetaSites)
+	if err := checkMeta(s.Meta); err != nil {
+		return err
 	}
 	zw := gzip.NewWriter(w)
 	bw := bufio.NewWriter(zw)

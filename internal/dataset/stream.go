@@ -29,6 +29,13 @@ type Entry struct {
 	RTT   time.Duration
 }
 
+// streamGzipLevel is the v4 writer's compression level, chosen by
+// measurement on an internet-tier round (DESIGN.md §12): against the
+// default level it costs 0.7% more bytes and saves almost two thirds of
+// the deflate time. The output is one ordinary gzip member, so readers
+// need not know the level.
+const streamGzipLevel = 2
+
 // StreamWriter writes a v4 dataset incrementally: construct with the
 // header (metadata, stats, and the exact entry count), Append each
 // entry in strictly ascending block order, then Close. Memory use is
@@ -46,8 +53,8 @@ type StreamWriter struct {
 // exactly n entries. The format capacity limits are enforced here, so a
 // stream that starts is one every reader will load back.
 func NewStreamWriter(w io.Writer, meta Meta, stats verfploeter.Stats, nSite, n int) (*StreamWriter, error) {
-	if len(meta.Sites) > MaxMetaSites {
-		return nil, fmt.Errorf("%w: %d metadata sites (max %d)", ErrLimit, len(meta.Sites), MaxMetaSites)
+	if err := checkMeta(meta); err != nil {
+		return nil, err
 	}
 	if nSite <= 0 || nSite > MaxSites {
 		return nil, fmt.Errorf("%w: catchment with %d sites (max %d)", ErrLimit, nSite, MaxSites)
@@ -55,7 +62,10 @@ func NewStreamWriter(w io.Writer, meta Meta, stats verfploeter.Stats, nSite, n i
 	if n < 0 || n > MaxEntries {
 		return nil, fmt.Errorf("%w: %d entries (max %d)", ErrLimit, n, MaxEntries)
 	}
-	zw := gzip.NewWriter(w)
+	zw, err := gzip.NewWriterLevel(w, streamGzipLevel)
+	if err != nil {
+		return nil, err
+	}
 	bw := bufio.NewWriter(zw)
 
 	bw.Write(magic[:])

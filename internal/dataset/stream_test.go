@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -351,5 +352,75 @@ func TestUpgradeSeriesEpochToV4(t *testing.T) {
 			t.Fatalf("epoch %d: read v4: %v", epoch, err)
 		}
 		catchmentsExactlyEqual(t, c, got.Catchment)
+	}
+}
+
+// TestOversizedMetaStringRefused is the regression test for metadata
+// strings over MaxString bytes: the writers used to cut them, possibly
+// mid-rune, so the file read back different metadata than was written.
+// Now every writer refuses them with ErrLimit before emitting a byte,
+// a string of exactly MaxString bytes round-trips unchanged, and the
+// readers reject a longer declared length.
+func TestOversizedMetaStringRefused(t *testing.T) {
+	// MaxString+1 bytes; the old cut at MaxString split the last rune.
+	long := "x" + strings.Repeat("é", MaxString/2)
+	c := verfploeter.NewCatchment(1)
+	c.Set(ipv4.Block(0x01020300), 0)
+	for _, m := range []Meta{
+		{ID: long, Scenario: "b-root", Sites: []string{"lax"}},
+		{ID: "X", Scenario: long, Sites: []string{"lax"}},
+		{ID: "X", Scenario: "b-root", Sites: []string{"lax", long}},
+	} {
+		var buf bytes.Buffer
+		if _, err := NewStreamWriter(&buf, m, verfploeter.Stats{}, 1, 1); !errors.Is(err, ErrLimit) {
+			t.Errorf("NewStreamWriter: err = %v, want ErrLimit", err)
+		}
+		if err := Write(&buf, &Dataset{Meta: m, Catchment: c}); !errors.Is(err, ErrLimit) {
+			t.Errorf("Write: err = %v, want ErrLimit", err)
+		}
+		if err := WriteSeries(&buf, &Series{Meta: m, Baseline: c}); !errors.Is(err, ErrLimit) {
+			t.Errorf("WriteSeries: err = %v, want ErrLimit", err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("refused writers emitted %d bytes", buf.Len())
+		}
+	}
+
+	exact := long[:MaxString-1] + "y"
+	m := Meta{ID: exact, Scenario: exact, Sites: []string{exact}}
+	var buf bytes.Buffer
+	if err := Write(&buf, &Dataset{Meta: m, Catchment: c}); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.Meta.ID != exact || ds.Meta.Scenario != exact || len(ds.Meta.Sites) != 1 || ds.Meta.Sites[0] != exact {
+		t.Error("dataset metadata of MaxString bytes did not round-trip")
+	}
+	buf.Reset()
+	if err := WriteSeries(&buf, &Series{Meta: m, Baseline: c}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := ReadSeries(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Meta.ID != exact || s.Meta.Scenario != exact || len(s.Meta.Sites) != 1 || s.Meta.Sites[0] != exact {
+		t.Error("series metadata of MaxString bytes did not round-trip")
+	}
+
+	// A hand-made header declaring a longer ID is malformed.
+	buf.Reset()
+	zw := gzip.NewWriter(&buf)
+	bw := bufio.NewWriter(zw)
+	bw.Write(magic[:])
+	writeU16(bw, version)
+	writeString(bw, long)
+	bw.Flush()
+	zw.Close()
+	if _, err := Read(&buf); !errors.Is(err, ErrFormat) {
+		t.Errorf("oversized declared string: err = %v, want ErrFormat", err)
 	}
 }

@@ -55,6 +55,14 @@ func Workers(requested int) int {
 // CPU; with one worker fn runs inline as a single [0, n) chunk. A panic
 // in any fn is re-raised on the calling goroutine.
 func Chunked(workers, n int, fn func(lo, hi int)) {
+	ChunkedWorker(workers, n, func(_, lo, hi int) { fn(lo, hi) })
+}
+
+// ChunkedWorker is Chunked that also tells fn which pool goroutine runs
+// the chunk: worker is in [0, Workers(workers)), and no two chunks with
+// the same worker run at once. Callers index per-worker scratch by it,
+// so the scratch is allocated once per pool rather than once per chunk.
+func ChunkedWorker(workers, n int, fn func(worker, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
@@ -63,7 +71,7 @@ func Chunked(workers, n int, fn func(lo, hi int)) {
 		w = n
 	}
 	if w <= 1 {
-		fn(0, n)
+		fn(0, 0, n)
 		return
 	}
 	// ~4 chunks per worker: coarse enough to amortize scheduling, fine
@@ -73,7 +81,7 @@ func Chunked(workers, n int, fn func(lo, hi int)) {
 		chunk = 1
 	}
 	var cursor atomic.Int64
-	run(w, func(int) {
+	run(w, func(worker int) {
 		for {
 			hi := int(cursor.Add(int64(chunk)))
 			lo := hi - chunk
@@ -83,7 +91,7 @@ func Chunked(workers, n int, fn func(lo, hi int)) {
 			if hi > n {
 				hi = n
 			}
-			fn(lo, hi)
+			fn(worker, lo, hi)
 		}
 	})
 }
@@ -146,28 +154,49 @@ func WithWorker(workers int, body func(worker int)) {
 	run(w, body)
 }
 
-// run launches body on w goroutines, waits, and re-raises the first
-// panic (by goroutine index) on the caller so a worker crash fails the
-// calling test or request instead of killing the process.
+// run runs body on w goroutines — the caller's own and w-1 new ones —
+// waits, and re-raises the first panic (by worker index) on the caller
+// so a worker crash fails the calling test or request instead of
+// killing the process.
 func run(w int, body func(worker int)) {
-	panics := make([]any, w)
-	var wg sync.WaitGroup
-	for g := 0; g < w; g++ {
-		wg.Add(1)
+	st := &runState{body: body}
+	st.panics = st.slots[:]
+	if w > len(st.slots) {
+		st.panics = make([]any, w)
+	}
+	st.wg.Add(w - 1)
+	for g := 1; g < w; g++ {
 		go func(worker int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panics[worker] = r
-				}
-			}()
-			body(worker)
+			defer st.wg.Done()
+			st.work(worker)
 		}(g)
 	}
-	wg.Wait()
-	for _, p := range panics {
+	st.work(0)
+	st.wg.Wait()
+	for _, p := range st.panics {
 		if p != nil {
 			panic(fmt.Sprintf("parallel: worker panic: %v", p))
 		}
 	}
+}
+
+// runState is what one run's workers share, in one allocation with
+// inline panic slots for pools up to four wide: a route computation
+// runs several parallel sections, and their bookkeeping counts against
+// its allocs/op gate at every pool width.
+type runState struct {
+	wg     sync.WaitGroup
+	body   func(worker int)
+	panics []any
+	slots  [4]any
+}
+
+// work runs body for one worker, recording a panic in its slot.
+func (st *runState) work(worker int) {
+	defer func() {
+		if r := recover(); r != nil {
+			st.panics[worker] = r
+		}
+	}()
+	st.body(worker)
 }

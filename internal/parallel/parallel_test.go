@@ -46,6 +46,38 @@ func TestChunkedCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
+// TestChunkedWorkerOwnsScratch: the worker index is in range and never
+// runs two chunks at once, so per-worker scratch needs no lock. Each
+// worker appends to its own slice unsynchronized; the race detector
+// and the owner flags would catch a shared index.
+func TestChunkedWorkerOwnsScratch(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 7} {
+		const n = 5000
+		busy := make([]atomic.Bool, workers)
+		seen := make([][]int, workers)
+		ChunkedWorker(workers, n, func(w, lo, hi int) {
+			if w < 0 || w >= workers {
+				t.Errorf("workers=%d: worker index %d", workers, w)
+				return
+			}
+			if !busy[w].CompareAndSwap(false, true) {
+				t.Errorf("workers=%d: worker %d runs two chunks at once", workers, w)
+			}
+			for i := lo; i < hi; i++ {
+				seen[w] = append(seen[w], i)
+			}
+			busy[w].Store(false)
+		})
+		total := 0
+		for _, s := range seen {
+			total += len(s)
+		}
+		if total != n {
+			t.Fatalf("workers=%d: %d indices visited, want %d", workers, total, n)
+		}
+	}
+}
+
 func TestForEachDisjointWrites(t *testing.T) {
 	const n = 10000
 	out := make([]int, n)

@@ -115,7 +115,7 @@ func build(name string, seed uint64, top *topology.Topology, sites []Site) *Scen
 		prepends:        make([]int, len(sites)),
 	}
 	s.Net = dataplane.New(dataplane.Config{
-		Top: top, Clock: s.Clock, Seed: seed,
+		Top: top, Seed: seed,
 		Impair:        dataplane.DefaultImpairments(),
 		AnycastPrefix: s.Prefix,
 		TestPrefix:    s.TestPfx,
@@ -138,7 +138,7 @@ func build(name string, seed uint64, top *topology.Topology, sites []Site) *Scen
 func (s *Scenario) Fork() *Scenario {
 	f := *s
 	f.Clock = vclock.New()
-	f.Net = s.Net.Fork(f.Clock)
+	f.Net = s.Net.Fork()
 	f.prepends = append([]int(nil), s.prepends...)
 	f.down = append([]bool(nil), s.down...)
 	f.epochHooks = append([]func(*Scenario, int){}, s.epochHooks...)

@@ -24,7 +24,7 @@ package verfploeter
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"verfploeter/internal/colstore"
@@ -184,7 +184,7 @@ func (c *Catchment) MedianRTT() time.Duration {
 	for _, d := range c.rtts {
 		v = append(v, d)
 	}
-	sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
+	slices.Sort(v)
 	return v[len(v)/2]
 }
 
@@ -399,7 +399,7 @@ func (c *Catchment) Blocks() []ipv4.Block {
 	if tail < len(out) {
 		// The columnar prefix is already ascending; a map tail forces a
 		// full re-sort of the union.
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		slices.Sort(out)
 	}
 	return out
 }

@@ -1,6 +1,8 @@
 package verfploeter
 
 import (
+	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -78,7 +80,7 @@ func referenceFold(chunks []probeChunk, hl *hitlist.Hitlist, sub *ipv4.BlockSet,
 			if cur, ok := best[r.Src]; ok && (cur.echo || !echo) {
 				continue
 			}
-			p := pick{site: r.Site, echo: echo}
+			p := pick{site: int(r.Site), echo: echo}
 			if t0 := sendNS[id]; echo && int(pos32[id])/probeChunkTargets == ci && t0 >= 0 && int64(r.At) > t0 {
 				p.rtt = r.At - time.Duration(t0)
 			}
@@ -188,6 +190,9 @@ func TestStreamBuilderMatchesBatch(t *testing.T) {
 //   - the last target's echo is captured by the other chunk, which never
 //     sent its probe, so it keeps no RTT;
 //   - one wrong-round, one unsolicited and one late reply follow.
+//
+// Echoes carry their exact block hint; every other reply leaves it
+// zero, so the fold resolves those through the index's search.
 func foldFixture(t *testing.T, w *world) (chunks []probeChunk, pos32 []uint32, sendNS []int64) {
 	t.Helper()
 	n := w.hl.Len()
@@ -203,7 +208,7 @@ func foldFixture(t *testing.T, w *world) (chunks []probeChunk, pos32 []uint32, s
 		sendNS[id] = int64(id) * int64(time.Millisecond)
 		ci := 2 * id / probeChunkTargets
 		at := time.Duration(sendNS[id]) + 5*time.Millisecond
-		echo := reply{Site: id % 2, At: at, Src: e.Addr, Ident: 3, Seq: uint16(2 * id)}
+		echo := reply{Site: int16(id % 2), At: at, Src: e.Addr, Blk: int32(id), Ident: 3, Seq: uint16(2 * id)}
 		switch id {
 		case 2:
 			add(ci, reply{Site: 1, At: at - time.Millisecond, Src: e.Addr, Ident: 3, Seq: uint16(2 * 3)})
@@ -216,7 +221,7 @@ func foldFixture(t *testing.T, w *world) (chunks []probeChunk, pos32 []uint32, s
 		add(ci, echo)
 		if id%5 == 0 {
 			dup := echo
-			dup.Site, dup.At = (id+1)%2, at+time.Second
+			dup.Site, dup.At = int16((id+1)%2), at+time.Second
 			add(ci, dup)
 		}
 	}
@@ -428,5 +433,70 @@ func TestCleanOrderMattersForDuplicates(t *testing.T) {
 	kept, _ := Clean(replies, probed, 1, 100)
 	if len(kept) != 1 || kept[0].Site != 1 {
 		t.Errorf("kept = %+v", kept)
+	}
+}
+
+// TestRunHintFallback: the dense block hints that ride from send to fold
+// only save lookups. A hitlist read from text with one block the
+// topology lacks, sorted ahead of every topology block, shifts every
+// hitlist id off the topology's block ids, so every send-side and
+// fold-side hint misses and each lookup takes the binary search. The
+// round must map, clean and count exactly as the built hitlist does,
+// whose hints all hold — up to the one extra, unroutable target.
+func TestRunHintFallback(t *testing.T) {
+	w := newSizedWorld(t, topology.SizeSmall, 5, dataplane.DefaultImpairments())
+	extra := ipv4.MustParseAddr("0.0.0.1")
+	if w.top.BlockIndex(extra.Block()) >= 0 || extra.Block() >= w.top.Blocks[0].Block {
+		t.Fatalf("%v must sort before the topology and lie outside it", extra)
+	}
+	var text bytes.Buffer
+	fmt.Fprintf(&text, "50 %v\n", extra)
+	if _, err := w.hl.WriteTo(&text); err != nil {
+		t.Fatal(err)
+	}
+	shifted, err := hitlist.Read(&text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shifted.Len() != w.hl.Len()+1 || shifted.Index().At(1) != w.top.Blocks[0].Block {
+		t.Fatal("read hitlist is not the built one shifted by the extra block")
+	}
+
+	round := func(hl *hitlist.Hitlist) (*Catchment, Stats, dataplane.Stats) {
+		cfg := w.config(7)
+		cfg.Hitlist = hl
+		if err := cfg.fill(); err != nil {
+			t.Fatal(err)
+		}
+		rd, st, err := probe(&cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		catch, cs := foldChunksSubset(rd.chunks, hl, nil, rd.pos32, rd.sendNS, 0, cfg.NSite, cfg.RoundID, cfg.Cutoff, cfg.Workers)
+		st.Clean, st.MedianRTT, st.Responded = cs, catch.MedianRTT(), catch.Len()
+		var net dataplane.Stats
+		for c := range rd.chunks {
+			net.Add(rd.chunks[c].netStats)
+		}
+		return catch, st, net
+	}
+	ref, refStats, refNet := round(w.hl)
+	got, gotStats, gotNet := round(shifted)
+
+	catchmentsEqual(t, "binary-search path vs hinted path", ref, got)
+	if gotStats.Clean != refStats.Clean || gotStats.MedianRTT != refStats.MedianRTT ||
+		gotStats.Responded != refStats.Responded || gotStats.SendErrs != refStats.SendErrs ||
+		gotStats.Sent != refStats.Sent+1 || gotStats.Targets != refStats.Targets+1 {
+		t.Errorf("stats %+v, hinted path %+v (plus one target)", gotStats, refStats)
+	}
+	if gotNet.ProbesSent != refNet.ProbesSent+1 || gotNet.UnknownBlocks != refNet.UnknownBlocks+1 {
+		t.Errorf("the extra target was not sent and dropped as unroutable: %+v vs %+v", gotNet, refNet)
+	}
+	gotNet.ProbesSent, gotNet.UnknownBlocks = refNet.ProbesSent, refNet.UnknownBlocks
+	if gotNet != refNet {
+		t.Errorf("dataplane counters %+v, hinted path %+v", gotNet, refNet)
+	}
+	if refStats.Clean.Kept == 0 || refNet.Aliased == 0 || refNet.Duplicates == 0 {
+		t.Fatalf("round not exercising replies, aliases and duplicates: %+v %+v", refStats.Clean, refNet)
 	}
 }

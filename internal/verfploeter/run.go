@@ -1,11 +1,13 @@
 package verfploeter
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
+	"verfploeter/internal/colstore"
 	"verfploeter/internal/dataplane"
 	"verfploeter/internal/hitlist"
 	"verfploeter/internal/ipv4"
@@ -244,14 +246,15 @@ func probe(cfg *Config) (*round, Stats, error) {
 	perm := rng.NewPermutation(rng.New(cfg.Seed).Derive("probe-order"), n)
 
 	// Chunks probe disjoint permutation positions, hence disjoint ids,
-	// so they write sendNS without locks or merges.
+	// so they write sendNS without locks or merges. The same holds for
+	// building pos32: a position range scatters into disjoint ids.
 	rd := &round{pos32: make([]uint32, n), sendNS: make([]int64, n)}
-	for i := 0; i < n; i++ {
-		rd.pos32[perm.Index(i)] = uint32(i)
-	}
-	for i := range rd.sendNS {
-		rd.sendNS[i] = -1
-	}
+	parallel.Chunked(cfg.Workers, n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			rd.pos32[perm.Index(i)] = uint32(i)
+			rd.sendNS[i] = -1
+		}
+	})
 
 	// Chunked sweep: chunk c probes permutation positions [lo, hi) on a
 	// fork of the data plane whose clock starts at the virtual time the
@@ -273,12 +276,12 @@ func probe(cfg *Config) (*round, Stats, error) {
 		clock := vclock.New()
 		clock.Advance(chunkOffset(lo, cfg.Rate))
 		vStart := clock.Now()
-		net := cfg.Net.Fork(clock)
-		net.SetReplySink(func(site int, from ipv4.Addr, ident, seq uint16, at time.Duration) {
+		net := cfg.Net.Fork()
+		net.SetReplySink(func(site int, from ipv4.Addr, blk int, ident, seq uint16, at time.Duration) {
 			if at > ch.maxAt {
 				ch.maxAt = at
 			}
-			ch.replies = append(ch.replies, reply{Site: site, At: at, Src: from, Ident: ident, Seq: seq})
+			ch.replies = append(ch.replies, reply{At: at, Src: from, Blk: int32(blk), Site: int16(site), Ident: ident, Seq: seq})
 		})
 		sp := cfg.span(perm, lo, hi)
 		ch.stats.Targets = sp.count()
@@ -291,7 +294,7 @@ func probe(cfg *Config) (*round, Stats, error) {
 		// (including deliberately late ones — the cleaner applies the
 		// cutoff on capture timestamps), so only pacing events remain.
 		clock.RunUntilIdle()
-		sort.SliceStable(ch.replies, func(i, j int) bool { return ch.replies[i].At < ch.replies[j].At })
+		slices.SortStableFunc(ch.replies, func(a, b reply) int { return cmp.Compare(a.At, b.At) })
 		ch.end = clock.Now()
 		if ch.maxAt > ch.end {
 			ch.end = ch.maxAt
@@ -360,7 +363,7 @@ func retryMissing(net *dataplane.Net, clock *vclock.Clock, cfg *Config,
 			if r.At > now {
 				continue
 			}
-			id := ix.Of(r.Src.Block())
+			id := hitlistID(ix, r.Src.Block(), r.Blk)
 			if id < 0 || cfg.Hitlist.Entries[id].Addr != r.Src {
 				continue
 			}
@@ -397,18 +400,33 @@ func retryMissing(net *dataplane.Net, clock *vclock.Clock, cfg *Config,
 }
 
 // reply is one captured echo reply, tagged with the site that captured it
-// and the virtual capture time — the tuple the fold consumes.
+// and the virtual capture time — the tuple the fold consumes. Blk is the
+// index of the source's block in the dataplane's topology; for a
+// hitlist built from that topology it is also the source's hitlist id,
+// which hitlistID verifies before trusting. The fields are ordered so a
+// reply packs into 24 bytes.
 type reply struct {
-	Site  int
 	At    time.Duration
 	Src   ipv4.Addr
+	Blk   int32
+	Site  int16
 	Ident uint16
 	Seq   uint16
 }
 
+// hitlistID returns the dense hitlist id of block b, trusting hint when
+// the index holds b at that id — one compare, where Of is a binary
+// search over the whole hitlist.
+func hitlistID(ix *colstore.Index, b ipv4.Block, hint int32) int {
+	if h := int(hint); uint(h) < uint(ix.Len()) && ix.At(h) == b {
+		return h
+	}
+	return ix.Of(b)
+}
+
 // probeChunk is one chunk's slice of the round: its captured replies
-// (sink-collected, stable-sorted by arrival time once the chunk
-// drains), sweep stats, and final (absolute) clock value.
+// (sink-collected in send order, stable-sorted by arrival time once the
+// chunk drains), sweep stats, and final (absolute) clock value.
 type probeChunk struct {
 	replies []reply
 	maxAt   time.Duration
@@ -485,39 +503,50 @@ func sweep(net *dataplane.Net, clock *vclock.Clock, cfg *Config,
 // to each instant the token bucket next admits a probe, the outer loop
 // advances in coarse Delay()+1ms strides. The strides fix the chunk's
 // final clock time, which Stats.Elapsed reports and datasets persist.
+// Each stride's probes, stamped with their own send instants, go to the
+// dataplane as one burst. The hitlist id rides along as the probe's
+// block hint, which the dataplane verifies against its topology.
 func pacedSend(net *dataplane.Net, clock *vclock.Clock, cfg *Config,
 	count int, tgt func(k int) (int, ipv4.Addr, uint16),
 	sendNS []int64, stats *Stats) error {
 
 	rl := vclock.NewRateLimiter(clock, cfg.Rate, cfg.Burst)
 	var firstErr error
+	burst := make([]dataplane.Probe, 0, cfg.Burst)
 	k := 0
-	send := func() {
+	admit := func() {
+		now := clock.Now()
 		for k < count && rl.Allow() {
 			id, addr, seq := tgt(k)
-			sendNS[id] = int64(clock.Now())
-			if err := net.SendEcho(cfg.OriginSite, cfg.SourceAddr, addr, cfg.RoundID, seq); err != nil {
-				stats.SendErrs++
-				if firstErr == nil {
-					firstErr = err
-				}
-			}
-			stats.Sent++
+			sendNS[id] = int64(now)
+			burst = append(burst, dataplane.Probe{Dst: addr, Seq: seq, Hint: int32(id), At: now})
 			k++
 		}
 	}
-	send()
+	flush := func() {
+		if err := net.SendBurst(cfg.OriginSite, cfg.SourceAddr, cfg.RoundID, burst); err != nil {
+			stats.SendErrs += len(burst)
+			if firstErr == nil {
+				firstErr = err
+			}
+		}
+		stats.Sent += len(burst)
+		burst = burst[:0]
+	}
+	admit()
+	flush()
 	if k < count {
 		stepAt := clock.Now() + rl.Delay()
 		for k < count {
 			target := clock.Now() + rl.Delay() + time.Millisecond
 			for k < count && stepAt <= target {
 				clock.Advance(stepAt - clock.Now())
-				send()
+				admit()
 				if k < count {
 					stepAt = clock.Now() + rl.Delay()
 				}
 			}
+			flush()
 			clock.Advance(target - clock.Now())
 		}
 	}
@@ -628,7 +657,7 @@ func foldChunksSubset(chunks []probeChunk, hl *hitlist.Hitlist, sub *ipv4.BlockS
 				st.Total++
 				// The source was probed iff it is its block's hitlist
 				// representative (and inside the subset, if any).
-				id := ix.Of(b)
+				id := hitlistID(ix, b, r.Blk)
 				probed := id >= 0 && hl.Entries[id].Addr == r.Src &&
 					(sub == nil || sub.Contains(b))
 				switch {
@@ -643,13 +672,13 @@ func foldChunksSubset(chunks []probeChunk, hl *hitlist.Hitlist, sub *ipv4.BlockS
 					if isEchoID(pos32, id, retries, r.Seq) {
 						seen[id] = keptEcho
 						if t0 := sentAtNS(sendNS, pos32, id, ci); t0 >= 0 && int64(r.At) > t0 {
-							catch.storeID(id, int16(r.Site), int64(r.At)-t0)
+							catch.storeID(id, r.Site, int64(r.At)-t0)
 						} else {
-							catch.storeID(id, int16(r.Site), 0)
+							catch.storeID(id, r.Site, 0)
 						}
 					} else {
 						seen[id] = keptAlias
-						catch.storeID(id, int16(r.Site), 0)
+						catch.storeID(id, r.Site, 0)
 					}
 				default:
 					st.Duplicates++
@@ -659,7 +688,7 @@ func foldChunksSubset(chunks []probeChunk, hl *hitlist.Hitlist, sub *ipv4.BlockS
 						if t0 := sentAtNS(sendNS, pos32, id, ci); t0 >= 0 && int64(r.At) > t0 {
 							rtt = int64(r.At) - t0
 						}
-						catch.storeID(id, int16(r.Site), rtt)
+						catch.storeID(id, r.Site, rtt)
 					}
 				}
 			}

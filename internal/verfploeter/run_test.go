@@ -10,7 +10,6 @@ import (
 	"verfploeter/internal/hitlist"
 	"verfploeter/internal/ipv4"
 	"verfploeter/internal/topology"
-	"verfploeter/internal/vclock"
 )
 
 type world struct {
@@ -34,7 +33,7 @@ func newSizedWorld(t *testing.T, size topology.Size, seed uint64, imp dataplane.
 	}
 	asg := bgp.Compute(top, anns).Assign()
 	net := dataplane.New(dataplane.Config{
-		Top: top, Clock: vclock.New(), Seed: seed, Impair: imp,
+		Top: top, Seed: seed, Impair: imp,
 		AnycastPrefix: ipv4.MustParsePrefix("198.18.0.0/24"),
 	})
 	net.SetAssignment(asg)
