@@ -19,6 +19,7 @@ package colstore
 
 import (
 	"fmt"
+	"math/bits"
 
 	"verfploeter/internal/ipv4"
 )
@@ -91,3 +92,69 @@ func (ix *Index) Of(b ipv4.Block) int {
 
 // Contains reports whether b is indexed.
 func (ix *Index) Contains(b ipv4.Block) bool { return ix.Of(b) >= 0 }
+
+// Bitset is a dense set of ids over [0, Size()): one bit per id, so a
+// membership test is a single word load and iteration is ascending by
+// construction. It is the id-keyed counterpart of ipv4.BlockSet for
+// sets whose members already have dense ids (hitlist entries, topology
+// blocks). The zero value is an empty set over an empty universe.
+type Bitset struct {
+	words []uint64
+	size  int
+	n     int
+}
+
+// NewBitset returns an empty set over ids [0, size).
+func NewBitset(size int) *Bitset {
+	return &Bitset{words: make([]uint64, (size+63)/64), size: size}
+}
+
+// Size returns the universe size (one more than the largest valid id).
+func (s *Bitset) Size() int { return s.size }
+
+// Len returns the number of members.
+func (s *Bitset) Len() int { return s.n }
+
+// Add inserts id, reporting whether it was newly added. id must be in
+// [0, Size()).
+func (s *Bitset) Add(id int) bool {
+	w, bit := &s.words[id>>6], uint64(1)<<(uint(id)&63)
+	if *w&bit != 0 {
+		return false
+	}
+	*w |= bit
+	s.n++
+	return true
+}
+
+// Contains reports whether id is a member; ids outside the universe
+// are not.
+func (s *Bitset) Contains(id int) bool {
+	return uint(id) < uint(s.size) && s.words[id>>6]&(uint64(1)<<(uint(id)&63)) != 0
+}
+
+// Range calls fn for every member in ascending order, stopping early if
+// fn returns false.
+func (s *Bitset) Range(fn func(id int) bool) {
+	for wi, w := range s.words {
+		for w != 0 {
+			if !fn(wi<<6 | bits.TrailingZeros64(w)) {
+				return
+			}
+			w &= w - 1
+		}
+	}
+}
+
+// SetOf returns the ids of the indexed blocks in set, as a Bitset over
+// [0, Len()); blocks the index does not hold are dropped.
+func (ix *Index) SetOf(set *ipv4.BlockSet) *Bitset {
+	out := NewBitset(ix.Len())
+	set.Range(func(b ipv4.Block) bool {
+		if id := ix.Of(b); id >= 0 {
+			out.Add(id)
+		}
+		return true
+	})
+	return out
+}

@@ -560,7 +560,10 @@ func readDeltas(br *bufio.Reader, nSite int) ([]Delta, error) {
 	if n > MaxEntries {
 		return nil, fmt.Errorf("%w: %d deltas", ErrFormat, n)
 	}
-	out := make([]Delta, 0, n)
+	// The declared count is untrusted until the deltas are read: start
+	// small and grow by append, so a short file cannot make the reader
+	// allocate for MaxEntries deltas it does not hold.
+	out := make([]Delta, 0, min(n, 1024))
 	for i := uint32(0); i < n; i++ {
 		var d Delta
 		blk, err := readU32(br)

@@ -37,14 +37,14 @@
 package monitor
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"verfploeter/internal/bgp"
+	"verfploeter/internal/colstore"
 	"verfploeter/internal/dataset"
-	"verfploeter/internal/ipv4"
 	"verfploeter/internal/loadmodel"
 	"verfploeter/internal/predict"
 	"verfploeter/internal/querylog"
@@ -290,6 +290,9 @@ func (ss *Session) Step() (EpochResult, error) {
 	prependChanged, downChanged := applyActions(s, cfg.Actions, e)
 
 	er := EpochResult{Epoch: e}
+	if err := ss.checkIndexed(); err != nil {
+		return er, fmt.Errorf("monitor: epoch %d: %w", e, err)
+	}
 	var cur *verfploeter.Catchment
 	full := e == 0 || cfg.Sample <= 0 || ss.forceFull
 	ss.forceFull = false
@@ -309,7 +312,7 @@ func (ss *Session) Step() (EpochResult, error) {
 			c, err = ss.predictEpoch(&er)
 		}
 		if err == nil && c == nil {
-			c, _, err = sampleEpoch(s, cfg, ss.st, ss.prev, &er)
+			c, err = sampleEpoch(s, cfg, ss.st, ss.prev, &er)
 		}
 		if err != nil {
 			return er, fmt.Errorf("monitor: epoch %d: %w", e, err)
@@ -324,9 +327,9 @@ func (ss *Session) Step() (EpochResult, error) {
 		ss.series.BaselineProbes = er.Probes
 		ss.res.BaselineProbes = er.Probes
 	} else {
-		se := deltaEpoch(e, ss.prev, cur, &er)
+		se, tr := deltaEpoch(e, s.Hitlist.Index(), ss.prev, cur, &er)
 		clSpan := s.Obs.StartSpan("classify", e)
-		er.Events = classifyEvents(e, s, cfg, ss.prev, cur, prependChanged, downChanged, ss.playbookActed, er.PredictMisses > 0)
+		er.Events = classifyEvents(e, s, cfg, ss.prev, cur, tr, prependChanged, downChanged, ss.playbookActed, er.PredictMisses > 0)
 		clSpan.End()
 		se.Events = er.Events
 		ss.series.Epochs = append(ss.series.Epochs, se)
@@ -386,17 +389,19 @@ func Run(s *scenario.Scenario, cfg Config) (*Result, error) {
 // deterministic per-AS sample, escalate every stratum whose sample
 // diverged from the carried map to a full stratum re-probe, and stitch.
 func sampleEpoch(s *scenario.Scenario, cfg Config, st *strata,
-	prev *verfploeter.Catchment, er *EpochResult) (*verfploeter.Catchment, verfploeter.Stats, error) {
+	prev *verfploeter.Catchment, er *EpochResult) (*verfploeter.Catchment, error) {
 
-	sample := st.sampleSet(er.Epoch, cfg.Sample, s.Seed)
-	obs, stats, err := s.MeasureSubset(cfg.RoundID, sample)
+	sample := st.sampleSet(er.Epoch, cfg.Sample, s.Seed, nil)
+	obs, stats, err := s.MeasureSubset(cfg.RoundID, st.hitlistIDs(sample, false))
 	if err != nil {
-		return nil, stats, err
+		return nil, err
 	}
 	er.Probes, er.Sampled = stats.Sent, stats.Targets
 
-	escalated, drifted := driftedStrata(prev, obs, sample, st)
-	if siteAnomaly(prev, obs, sample) ||
+	// The drift denominator counts sampled topology blocks, covered by
+	// the hitlist or not.
+	escalated, drifted := st.driftedStrata(prev, obs, sample)
+	if st.siteAnomaly(prev, obs, sample) ||
 		float64(drifted) >= cfg.GlobalDrift*float64(max(1, sample.Len())) {
 		// Two signatures of a *global* routing event: a site appearing in
 		// or vanishing from the sample (withdrawal, blackout,
@@ -405,26 +410,27 @@ func sampleEpoch(s *scenario.Scenario, cfg Config, st *strata,
 		// in strata whose own sample happens to sit still, so partial
 		// escalation would strand stale entries; the event costs a full
 		// sweep either way.
-		escalated = allStrata(st.n)
+		escalated = st.allStrata()
 		s.Obs.Counter("monitor_global_escalations", "epochs escalated to a full re-sweep").Inc()
 	}
-	er.EscalatedStrata = len(escalated)
+	er.EscalatedStrata = escalated.Len()
 	cur := prev.Clone()
 	if _, err := stitchEscalated(s, cfg, st, cur, escalated, er); err != nil {
-		return nil, stats, err
+		return nil, err
 	}
-	return cur, stats, nil
+	return cur, nil
 }
 
 // stitchEscalated re-probes every block of the escalated strata (plus
 // topology predecessors, for the cross-block alias rule) and stitches
 // the fresh observations into cur in place; un-escalated entries carry
-// over untouched. Returns the escalated block set (nil when no stratum
-// escalated) so callers can tell re-observed blocks from carried ones.
+// over untouched. Returns the escalated block indices (nil when no
+// stratum escalated) so callers can tell re-observed blocks from
+// carried ones.
 func stitchEscalated(s *scenario.Scenario, cfg Config, st *strata,
-	cur *verfploeter.Catchment, escalated map[int]bool, er *EpochResult) (*ipv4.BlockSet, error) {
+	cur *verfploeter.Catchment, escalated *colstore.Bitset, er *EpochResult) (*colstore.Bitset, error) {
 
-	if len(escalated) == 0 {
+	if escalated.Len() == 0 {
 		return nil, nil
 	}
 	// A cross-block aliased reply can only come from the block's
@@ -433,23 +439,17 @@ func stitchEscalated(s *scenario.Scenario, cfg Config, st *strata,
 	// observations exactly; their own entries are dropped in the
 	// stitch.
 	escSet := st.blocksOf(escalated)
-	full, fstats, err := s.MeasureSubset(cfg.RoundID, st.withPredecessors(escSet))
+	full, fstats, err := s.MeasureSubset(cfg.RoundID, st.hitlistIDs(escSet, true))
 	if err != nil {
 		return nil, err
 	}
 	er.Probes += fstats.Sent
 	// Stitch: escalated strata take the fresh observation wholesale
 	// (including blocks that went silent), the rest carries over.
-	escSet.Range(func(b ipv4.Block) bool {
-		cur.Delete(b)
-		return true
-	})
-	full.Range(func(b ipv4.Block, site int) bool {
-		if !escSet.Contains(b) {
-			return true
+	escSet.Range(func(i int) bool {
+		if h := st.hl[i]; h >= 0 {
+			cur.CopyAt(full, int(h))
 		}
-		rtt, _ := full.RTTOf(b)
-		cur.Reassign(b, site, rtt)
 		return true
 	})
 	return escSet, nil
@@ -477,37 +477,86 @@ func applyActions(s *scenario.Scenario, actions []Action, e int) (prependChanged
 	return prependChanged, downChanged
 }
 
-// deltaEpoch encodes cur against prev: changed/added/removed blocks in
-// sorted order for deterministic series files.
-func deltaEpoch(e int, prev, cur *verfploeter.Catchment, er *EpochResult) dataset.SeriesEpoch {
+// ErrIndex reports state the id-keyed epoch cannot read: a catchment
+// not held in columns over the scenario's hitlist index, or strata
+// built for another topology or hitlist than the scenario now has.
+var ErrIndex = errors.New("monitor: catchment or strata not indexed over the scenario's hitlist")
+
+// checkIndexed is the epoch's one guard for its id-level reads: the
+// carried map and the strata must be keyed by the scenario's current
+// hitlist ids (fresh sweeps are, by construction).
+func (ss *Session) checkIndexed() error {
+	ix := ss.s.Hitlist.Index()
+	if !ss.st.current(ss.s) {
+		return fmt.Errorf("%w: strata are stale", ErrIndex)
+	}
+	if ss.prev != nil && !ss.prev.IndexedOver(ix) {
+		return fmt.Errorf("%w: carried map", ErrIndex)
+	}
+	return nil
+}
+
+// transition is what classifyEvents needs to know about prev → cur:
+// the Figure 9 counts (verfploeter.Diff) and each map's per-site block
+// tallies (Catchment.Counts).
+type transition struct {
+	verfploeter.DiffStats
+	prevCounts, curCounts []int
+}
+
+// deltaEpoch encodes cur against prev in one ascending pass over the
+// two catchments' columns (both over ix): changed/added/removed blocks
+// in sorted order for deterministic series files, plus the transition
+// counts classifyEvents needs.
+func deltaEpoch(e int, ix *colstore.Index, prev, cur *verfploeter.Catchment, er *EpochResult) (dataset.SeriesEpoch, transition) {
 	se := dataset.SeriesEpoch{
 		Epoch: e, Probes: er.Probes,
 		SampledTargets: er.Sampled, EscalatedStrata: er.EscalatedStrata,
 	}
-	for _, b := range cur.Blocks() {
-		site, _ := cur.SiteOf(b)
-		rtt, _ := cur.RTTOf(b)
-		d := dataset.Delta{Block: b, Site: int16(site), RTT: rtt}
-		if ps, ok := prev.SiteOf(b); !ok {
-			se.Added = append(se.Added, d)
-		} else if pr, _ := prev.RTTOf(b); ps != site || pr != rtt {
-			se.Changed = append(se.Changed, d)
+	tr := transition{prevCounts: make([]int, prev.NSite), curCounts: make([]int, cur.NSite)}
+	d := &tr.DiffStats
+	for id := 0; id < ix.Len(); id++ {
+		ps, pok := prev.SiteAt(id)
+		cs, cok := cur.SiteAt(id)
+		if pok {
+			tr.prevCounts[ps]++
+		}
+		if cok {
+			tr.curCounts[cs]++
+		}
+		switch {
+		case !cok:
+			if pok {
+				d.ToNR++
+				se.Removed = append(se.Removed, ix.At(id))
+			}
+			continue
+		case !pok:
+			d.FromNR++
+		case ps != cs:
+			d.Flipped++
+		default:
+			d.Stable++
+			if prev.RTTAt(id) == cur.RTTAt(id) {
+				continue
+			}
+		}
+		delta := dataset.Delta{Block: ix.At(id), Site: int16(cs), RTT: cur.RTTAt(id)}
+		if pok {
+			se.Changed = append(se.Changed, delta)
+		} else {
+			se.Added = append(se.Added, delta)
 		}
 	}
-	for _, b := range prev.Blocks() {
-		if _, ok := cur.SiteOf(b); !ok {
-			se.Removed = append(se.Removed, b)
-		}
-	}
-	return se
+	return se, tr
 }
 
 // classifyEvents turns the prev→cur transition into the epoch's typed
 // drift events, all tagged with the epoch's best-attributed cause.
-func classifyEvents(e int, s *scenario.Scenario, cfg Config,
-	prev, cur *verfploeter.Catchment, prependChanged, downChanged, playbook, predictMiss bool) []dataset.Event {
+func classifyEvents(e int, s *scenario.Scenario, cfg Config, prev, cur *verfploeter.Catchment,
+	tr transition, prependChanged, downChanged, playbook, predictMiss bool) []dataset.Event {
 
-	prevCounts, curCounts := prev.Counts(), cur.Counts()
+	d, prevCounts, curCounts := tr.DiffStats, tr.prevCounts, tr.curCounts
 	var darkened, restored []int
 	for site := range prevCounts {
 		switch {
@@ -542,7 +591,6 @@ func classifyEvents(e int, s *scenario.Scenario, cfg Config,
 	}
 
 	var events []dataset.Event
-	d := verfploeter.Diff(prev, cur)
 	if d.Flipped > 0 {
 		events = append(events, dataset.Event{
 			Epoch: e, Type: dataset.EventFlips, Cause: cause, Site: -1,
@@ -550,7 +598,7 @@ func classifyEvents(e int, s *scenario.Scenario, cfg Config,
 			Magnitude: float64(d.Flipped) / float64(max(1, prev.Len())),
 		})
 	}
-	prevShare, curShare := shares(prev, cfg.LoadLog), shares(cur, cfg.LoadLog)
+	prevShare, curShare := shares(prev, prevCounts, cfg.LoadLog), shares(cur, curCounts, cfg.LoadLog)
 	for site := range curShare {
 		delta := curShare[site] - prevShare[site]
 		if math.Abs(delta) >= cfg.LoadShift {
@@ -586,8 +634,9 @@ func classifyEvents(e int, s *scenario.Scenario, cfg Config,
 }
 
 // shares returns per-site load shares: query-weighted when a log is
-// supplied, block-count shares otherwise.
-func shares(c *verfploeter.Catchment, log *querylog.Log) []float64 {
+// supplied, block-count shares otherwise — from the catchment's site
+// tallies, the same division Catchment.Fraction makes.
+func shares(c *verfploeter.Catchment, counts []int, log *querylog.Log) []float64 {
 	out := make([]float64, c.NSite)
 	if log != nil {
 		est := loadmodel.Predict(c, log, loadmodel.ByQueries)
@@ -596,180 +645,10 @@ func shares(c *verfploeter.Catchment, log *querylog.Log) []float64 {
 		}
 		return out
 	}
-	for site := range out {
-		out[site] = c.Fraction(site)
-	}
-	return out
-}
-
-// --- strata ----------------------------------------------------------
-
-// strata partitions the hitlist's blocks into hash-strata of whole
-// ASes. Routing drift here is session-grained — a prepend, withdrawal,
-// or tie-break epoch moves entire AS sessions — so keeping each AS
-// within one stratum means a drifted AS's sampled block escalates
-// exactly the stratum holding the rest of that AS.
-type strata struct {
-	n int
-	// byAS[asIdx] = stratum; blocks[stratum] = the member blocks, in
-	// topology (sorted-block) order; perAS[asIdx] = that AS's blocks,
-	// for per-AS sampling; ofBlock inverts blocks for drift lookups.
-	byAS    []int
-	blocks  [][]ipv4.Block
-	perAS   [][]ipv4.Block
-	ofBlock map[ipv4.Block]int
-	// pred maps each block to its topology predecessor — the only block
-	// whose probe can alias a reply into it (dataplane's cross-alias
-	// rule). Partial sweeps probe predecessors alongside their targets to
-	// keep per-block observations identical to a full sweep.
-	pred map[ipv4.Block]ipv4.Block
-}
-
-func buildStrata(s *scenario.Scenario, n int) *strata {
-	st := &strata{
-		n:       n,
-		byAS:    make([]int, len(s.Top.ASes)),
-		blocks:  make([][]ipv4.Block, n),
-		perAS:   make([][]ipv4.Block, len(s.Top.ASes)),
-		ofBlock: make(map[ipv4.Block]int, len(s.Top.Blocks)),
-		pred:    make(map[ipv4.Block]ipv4.Block, len(s.Top.Blocks)),
-	}
-	for asIdx := range s.Top.ASes {
-		st.byAS[asIdx] = int(mix64(s.Seed^0x5742a7a7, uint64(asIdx)) % uint64(n))
-	}
-	for i := range s.Top.Blocks {
-		bi := &s.Top.Blocks[i]
-		stratum := st.byAS[bi.ASIdx]
-		st.blocks[stratum] = append(st.blocks[stratum], bi.Block)
-		st.perAS[bi.ASIdx] = append(st.perAS[bi.ASIdx], bi.Block)
-		st.ofBlock[bi.Block] = stratum
-		if i > 0 {
-			st.pred[bi.Block] = s.Top.Blocks[i-1].Block
+	if total := c.Len(); total > 0 {
+		for site := range out {
+			out[site] = float64(counts[site]) / float64(total)
 		}
-	}
-	return st
-}
-
-// withPredecessors returns sub extended with each member's topology
-// predecessor (sub itself is not modified).
-func (st *strata) withPredecessors(sub *ipv4.BlockSet) *ipv4.BlockSet {
-	out := ipv4.NewBlockSet(sub.Len() + sub.Len()/4)
-	sub.Range(func(b ipv4.Block) bool {
-		out.Add(b)
-		if p, ok := st.pred[b]; ok {
-			out.Add(p)
-		}
-		return true
-	})
-	return out
-}
-
-// sampleSet picks each AS's deterministic sample for the epoch:
-// max(1, ceil(rate·|blocks|)) blocks, ranked by a per-epoch hash so the
-// sample rotates across epochs — a flip missed this epoch (because a
-// multi-PoP AS drifted only partially) meets a different sample next
-// epoch.
-func (st *strata) sampleSet(epoch int, rate float64, seed uint64) *ipv4.BlockSet {
-	out := ipv4.NewBlockSet(64)
-	type ranked struct {
-		b ipv4.Block
-		h uint64
-	}
-	var scratch []ranked
-	for _, blocks := range st.perAS {
-		if len(blocks) == 0 {
-			continue
-		}
-		k := int(math.Ceil(rate * float64(len(blocks))))
-		if k < 1 {
-			k = 1
-		}
-		if k >= len(blocks) {
-			for _, b := range blocks {
-				out.Add(b)
-			}
-			continue
-		}
-		scratch = scratch[:0]
-		for _, b := range blocks {
-			scratch = append(scratch, ranked{b, mix64(seed^uint64(epoch)*0x9e3779b97f4a7c15, uint64(b))})
-		}
-		sort.Slice(scratch, func(i, j int) bool {
-			if scratch[i].h != scratch[j].h {
-				return scratch[i].h < scratch[j].h
-			}
-			return scratch[i].b < scratch[j].b
-		})
-		for i := 0; i < k; i++ {
-			out.Add(scratch[i].b)
-		}
-	}
-	return out
-}
-
-// blocksOf returns every block of the given strata as a subset.
-func (st *strata) blocksOf(which map[int]bool) *ipv4.BlockSet {
-	out := ipv4.NewBlockSet(256)
-	for stratum := range which {
-		for _, b := range st.blocks[stratum] {
-			out.Add(b)
-		}
-	}
-	return out
-}
-
-// driftedStrata compares the sampled observation against the carried
-// map: any divergence — presence, site, or RTT — marks the block's
-// stratum for escalation. RTT participates because a withdrawn origin
-// leg changes every RTT without flipping sites; byte-identity to full
-// mode requires catching that too. The second return value counts the
-// drifted sampled blocks, for the global-drift trigger.
-func driftedStrata(prev, obs *verfploeter.Catchment, sample *ipv4.BlockSet, st *strata) (map[int]bool, int) {
-	esc := make(map[int]bool)
-	n := 0
-	sample.Range(func(b ipv4.Block) bool {
-		ps, pok := prev.SiteOf(b)
-		os, ook := obs.SiteOf(b)
-		drifted := pok != ook || ps != os
-		if !drifted && pok {
-			pr, _ := prev.RTTOf(b)
-			or, _ := obs.RTTOf(b)
-			drifted = pr != or
-		}
-		if drifted {
-			n++
-			if stratum, ok := st.ofBlock[b]; ok {
-				esc[stratum] = true
-			}
-		}
-		return true
-	})
-	return esc, n
-}
-
-// siteAnomaly reports whether the set of sites seen among the sampled
-// observations differs from the set among the same blocks' carried
-// entries — the signature of a site going dark or coming back.
-func siteAnomaly(prev, obs *verfploeter.Catchment, sample *ipv4.BlockSet) bool {
-	prevSites := make([]bool, prev.NSite)
-	obsSites := make([]bool, obs.NSite)
-	sample.Range(func(b ipv4.Block) bool {
-		if s, ok := prev.SiteOf(b); ok {
-			prevSites[s] = true
-		}
-		if s, ok := obs.SiteOf(b); ok {
-			obsSites[s] = true
-		}
-		return true
-	})
-	return !equalBools(prevSites, obsSites)
-}
-
-// allStrata marks every stratum for escalation.
-func allStrata(n int) map[int]bool {
-	out := make(map[int]bool, n)
-	for i := 0; i < n; i++ {
-		out[i] = true
 	}
 	return out
 }

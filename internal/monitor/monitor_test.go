@@ -2,12 +2,14 @@ package monitor
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
 	"verfploeter/internal/dataset"
 	"verfploeter/internal/faults"
+	"verfploeter/internal/hitlist"
 	"verfploeter/internal/scenario"
 	"verfploeter/internal/topology"
 )
@@ -290,5 +292,20 @@ func TestMonitorGolden(t *testing.T) {
 	t.Logf("sampled: %s", line(sampled))
 	if fl, sl := line(full), line(sampled); strings.Split(fl, " probes")[0] != strings.Split(sl, " probes")[0] {
 		t.Errorf("full and sampled disagree on events/flips: %q vs %q", fl, sl)
+	}
+}
+
+// TestStepRejectsForeignIndex: the epoch reads catchments by hitlist id,
+// so a session whose scenario swapped its hitlist after the baseline
+// must fail with ErrIndex rather than read ids of another index.
+func TestStepRejectsForeignIndex(t *testing.T) {
+	s := scenario.BRoot(topology.SizeTiny, 7)
+	ss := NewSession(s, Config{Sample: 0.25})
+	if _, err := ss.Step(); err != nil {
+		t.Fatal(err)
+	}
+	s.Hitlist = hitlist.Build(s.Top, s.Seed)
+	if _, err := ss.Step(); !errors.Is(err, ErrIndex) {
+		t.Fatalf("Step after a hitlist swap: err = %v, want ErrIndex", err)
 	}
 }

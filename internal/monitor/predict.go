@@ -26,7 +26,7 @@ package monitor
 // bounds detection latency to Config.PredictRefresh epochs.
 
 import (
-	"verfploeter/internal/ipv4"
+	"verfploeter/internal/colstore"
 	"verfploeter/internal/predict"
 	"verfploeter/internal/verfploeter"
 )
@@ -42,50 +42,61 @@ func (ss *Session) predictEpoch(er *EpochResult) (*verfploeter.Catchment, error)
 		return nil, nil
 	}
 
-	// Strata touching the predicted flip set escalate outright.
-	affected := make(map[int]bool)
-	pr.Affected.Range(func(b ipv4.Block) bool {
-		if stratum, ok := st.ofBlock[b]; ok {
-			affected[stratum] = true
+	// Strata touching the predicted flip set escalate outright. The
+	// affected blocks (pr.Affected, by index) are each flip and its
+	// topology successor.
+	affected := colstore.NewBitset(len(st.of))
+	escalated := colstore.NewBitset(st.n)
+	for _, f := range pr.Flips {
+		for _, i := range []int{f.Index, f.Index + 1} {
+			if i < len(st.of) {
+				affected.Add(i)
+				escalated.Add(int(st.of[i]))
+			}
 		}
-		return true
-	})
+	}
 
 	// Canary rotation: these strata keep their full rotating sample this
 	// epoch regardless of confidence, bounding misprediction-detection
 	// latency to PredictRefresh epochs.
-	canary := make(map[int]bool)
-	for stratum := 0; stratum < st.n; stratum++ {
-		if (er.Epoch+stratum)%cfg.PredictRefresh == 0 {
-			canary[stratum] = true
-		}
-	}
+	canary := func(stratum int32) bool { return (er.Epoch+int(stratum))%cfg.PredictRefresh == 0 }
 
 	// The probe set is block-granular: of the epoch's ordinary rotating
 	// sample, keep canary-stratum blocks and individually low-confidence
 	// blocks; drop blocks of escalating strata (their full re-probe
 	// subsumes the sample). High-confidence blocks elsewhere are covered
-	// by the exactness contract and receive no probes at all.
-	sample := st.sampleSet(er.Epoch, cfg.Sample, s.Seed)
-	probed := ipv4.NewBlockSet(64)
-	probedStrata := make(map[int]bool)
-	for i := range s.Top.Blocks {
-		b := s.Top.Blocks[i].Block
-		if !sample.Contains(b) {
-			continue
+	// by the exactness contract and receive no probes at all. Only ASes
+	// that can contribute a probe are ranked: those outside escalating
+	// strata that sit in a canary stratum or hold a low-confidence
+	// block. An AS's sample does not depend on any other AS's, so the
+	// probe set is what ranking every AS would give.
+	sample := st.sampleSet(er.Epoch, cfg.Sample, s.Seed, func(a int) bool {
+		stratum := st.byAS[a]
+		if escalated.Contains(int(stratum)) {
+			return false
 		}
-		stratum := st.byAS[s.Top.Blocks[i].ASIdx]
-		if affected[stratum] {
-			continue
+		if canary(stratum) {
+			return true
 		}
-		if canary[stratum] || pr.LowConfidence(i) {
-			probed.Add(b)
-			probedStrata[stratum] = true
+		for _, i := range st.ofAS(a) {
+			if pr.LowConfidence(int(i)) {
+				return true
+			}
 		}
-	}
+		return false
+	})
+	probed := colstore.NewBitset(len(st.of))
+	probedStrata := colstore.NewBitset(st.n)
+	sample.Range(func(i int) bool {
+		if stratum := st.of[i]; canary(stratum) || pr.LowConfidence(i) {
+			probed.Add(i)
+			probedStrata.Add(int(stratum))
+		}
+		return true
+	})
 	var obs *verfploeter.Catchment
 	if probed.Len() > 0 {
-		o, stats, err := s.MeasureSubset(cfg.RoundID, probed)
+		o, stats, err := s.MeasureSubset(cfg.RoundID, st.hitlistIDs(probed, false))
 		if err != nil {
 			return nil, err
 		}
@@ -97,25 +108,23 @@ func (ss *Session) predictEpoch(er *EpochResult) (*verfploeter.Catchment, error)
 	// strata by the same observed-drift rule as plain sampling; the
 	// global triggers (site anomaly, drift fraction) still force a full
 	// re-sweep — they are the self-heal path for large out-of-band
-	// events.
-	escalated := make(map[int]bool, len(affected))
-	for stratum := range affected {
-		escalated[stratum] = true
-	}
+	// events. The drift denominator counts probed topology blocks,
+	// covered by the hitlist or not.
 	if obs != nil {
-		esc, drifted := driftedStrata(prev, obs, probed, st)
-		for stratum := range esc {
-			escalated[stratum] = true
-		}
-		if siteAnomaly(prev, obs, probed) ||
+		esc, drifted := st.driftedStrata(prev, obs, probed)
+		esc.Range(func(stratum int) bool {
+			escalated.Add(stratum)
+			return true
+		})
+		if st.siteAnomaly(prev, obs, probed) ||
 			float64(drifted) >= cfg.GlobalDrift*float64(max(1, probed.Len())) {
-			escalated = allStrata(st.n)
+			escalated = st.allStrata()
 			s.Obs.Counter("monitor_global_escalations", "epochs escalated to a full re-sweep").Inc()
 		}
 	}
-	er.EscalatedStrata = len(escalated)
+	er.EscalatedStrata = escalated.Len()
 	for stratum := 0; stratum < st.n; stratum++ {
-		if !escalated[stratum] && !probedStrata[stratum] {
+		if !escalated.Contains(stratum) && !probedStrata.Contains(stratum) {
 			er.PredictSkippedStrata++
 		}
 	}
@@ -131,27 +140,20 @@ func (ss *Session) predictEpoch(er *EpochResult) (*verfploeter.Catchment, error)
 	// hit, outside it a miss. Skipped strata are by construction
 	// unchanged in cur, so iterating the re-observed blocks covers every
 	// prev→cur difference.
-	score := func(b ipv4.Block, fresh *verfploeter.Catchment) {
-		ps, pok := prev.SiteOf(b)
-		cs, cok := fresh.SiteOf(b)
-		changed := pok != cok || ps != cs
-		if !changed && pok {
-			prt, _ := prev.RTTOf(b)
-			crt, _ := fresh.RTTOf(b)
-			changed = prt != crt
-		}
-		if !changed {
+	score := func(i int, fresh *verfploeter.Catchment) {
+		h := int(st.hl[i])
+		if h < 0 || !changedAt(prev, fresh, h) {
 			return
 		}
-		if pr.Affected.Contains(b) {
+		if affected.Contains(i) {
 			er.PredictHits++
 		} else {
 			er.PredictMisses++
 		}
 	}
 	if escSet != nil {
-		escSet.Range(func(b ipv4.Block) bool {
-			score(b, cur)
+		escSet.Range(func(i int) bool {
+			score(i, cur)
 			return true
 		})
 	}
@@ -159,9 +161,9 @@ func (ss *Session) predictEpoch(er *EpochResult) (*verfploeter.Catchment, error)
 	// their fresh witness is obs. (driftedStrata escalates every drifted
 	// sampled block's stratum, so these are normally the confirmed-stable
 	// ones — but scoring against cur would bake that assumption in.)
-	probed.Range(func(b ipv4.Block) bool {
-		if escSet == nil || !escSet.Contains(b) {
-			score(b, obs)
+	probed.Range(func(i int) bool {
+		if escSet == nil || !escSet.Contains(i) {
+			score(i, obs)
 		}
 		return true
 	})

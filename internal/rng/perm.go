@@ -56,6 +56,31 @@ func (p *Permutation) Index(i int) int {
 	}
 }
 
+// Inverse returns the position at which the permutation visits v, v in
+// [0, Len()): Index(Inverse(v)) == v. It runs the Feistel rounds
+// backwards with the same cycle-walk, so a caller that knows a target
+// can find its probe position without scanning the permutation.
+func (p *Permutation) Inverse(v int) int {
+	x := uint64(v)
+	for {
+		x = p.feistelInverse(x)
+		if x < p.n {
+			return int(x)
+		}
+		// Walking Index's cycle backwards: the padding values Index
+		// walked through are skipped here in reverse.
+	}
+}
+
+func (p *Permutation) feistelInverse(x uint64) uint64 {
+	l := x >> p.halfBits
+	r := x & p.halfMask
+	for i := len(p.keys) - 1; i >= 0; i-- {
+		l, r = r^(p.round(l, p.keys[i])&p.halfMask), l
+	}
+	return l<<p.halfBits | r
+}
+
 func (p *Permutation) feistel(x uint64) uint64 {
 	l := x >> p.halfBits
 	r := x & p.halfMask

@@ -231,3 +231,29 @@ func TestPermutationProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPermutationInverse: Inverse undoes Index and Index undoes Inverse
+// at every position. The sizes cover single-element and tiny domains,
+// odd bit widths (257, 4097 pad to the next even width, so most Feistel
+// outputs cycle-walk) and a power of two; 2^20+3 is checked
+// exhaustively, which is where a cycle-walk tail that only shows at
+// scale would surface.
+func TestPermutationInverse(t *testing.T) {
+	sizes := []int{1, 2, 3, 255, 256, 257, 4097, 1<<20 + 3}
+	if testing.Short() {
+		sizes = sizes[:len(sizes)-1]
+	}
+	for _, n := range sizes {
+		for _, seed := range []uint64{1, 0xdeadbeef} {
+			p := NewPermutation(New(seed), n)
+			for i := 0; i < n; i++ {
+				if got := p.Inverse(p.Index(i)); got != i {
+					t.Fatalf("n=%d seed=%#x: Inverse(Index(%d)) = %d", n, seed, i, got)
+				}
+				if got := p.Index(p.Inverse(i)); got != i {
+					t.Fatalf("n=%d seed=%#x: Index(Inverse(%d)) = %d", n, seed, i, got)
+				}
+			}
+		}
+	}
+}

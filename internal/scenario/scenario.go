@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"verfploeter/internal/bgp"
+	"verfploeter/internal/colstore"
 	"verfploeter/internal/dataplane"
 	"verfploeter/internal/dnswire"
 	"verfploeter/internal/faults"
@@ -410,12 +411,13 @@ func (s *Scenario) Measure(roundID uint16) (*verfploeter.Catchment, verfploeter.
 }
 
 // MeasureSubset runs one Verfploeter round restricted to the given
-// blocks (nil = the full hitlist): the monitor's partial re-probe. The
+// hitlist ids (a Bitset over [0, Hitlist.Len()); nil = the full
+// hitlist): the monitor's partial re-probe. The
 // sweep keeps the full round's probe order, chunking, and sequence
 // numbers (see verfploeter.Config.Subset), so each probed block's
 // observation is identical to what Measure would record for the same
 // roundID.
-func (s *Scenario) MeasureSubset(roundID uint16, subset *ipv4.BlockSet) (*verfploeter.Catchment, verfploeter.Stats, error) {
+func (s *Scenario) MeasureSubset(roundID uint16, subset *colstore.Bitset) (*verfploeter.Catchment, verfploeter.Stats, error) {
 	return s.runSweep(verfploeter.Config{
 		Hitlist: s.Hitlist, Net: s.Net,
 		NSite: len(s.Sites), OriginSite: 0, SourceAddr: s.MeasureAddr,

@@ -49,7 +49,7 @@ func TestMeasureSubsetMatchesFull(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			part, pstats, err := base.Fork().MeasureSubset(42, sub)
+			part, pstats, err := base.Fork().MeasureSubset(42, base.Hitlist.Index().SetOf(sub))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,7 +103,7 @@ func TestMeasureSubsetWorkerDeterminism(t *testing.T) {
 	for _, w := range []int{1, 3, 8} {
 		f := base.Fork()
 		f.Workers = w
-		c, stats, err := f.MeasureSubset(77, sub)
+		c, stats, err := f.MeasureSubset(77, base.Hitlist.Index().SetOf(sub))
 		if err != nil {
 			t.Fatal(err)
 		}

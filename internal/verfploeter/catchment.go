@@ -223,20 +223,7 @@ func (c *Catchment) Clone() *Catchment {
 func (c *Catchment) Reassign(b ipv4.Block, s int, rtt time.Duration) {
 	c.checkSite(s)
 	if id := c.id(b); id >= 0 {
-		if c.csites[id] < 0 {
-			c.cn++
-		}
-		c.csites[id] = int16(s)
-		if rtt > 0 {
-			c.ensureRTTs()
-			if c.crtts[id] == 0 {
-				c.cnrtt++
-			}
-			c.crtts[id] = int64(rtt)
-		} else if c.crtts != nil && c.crtts[id] != 0 {
-			c.crtts[id] = 0
-			c.cnrtt--
-		}
+		c.reassignAt(id, int16(s), rtt)
 		return
 	}
 	if c.sites == nil {
@@ -253,21 +240,79 @@ func (c *Catchment) Reassign(b ipv4.Block, s int, rtt time.Duration) {
 	}
 }
 
+func (c *Catchment) reassignAt(id int, s int16, rtt time.Duration) {
+	if c.csites[id] < 0 {
+		c.cn++
+	}
+	c.csites[id] = s
+	if rtt > 0 {
+		c.ensureRTTs()
+		if c.crtts[id] == 0 {
+			c.cnrtt++
+		}
+		c.crtts[id] = int64(rtt)
+	} else if c.crtts != nil && c.crtts[id] != 0 {
+		c.crtts[id] = 0
+		c.cnrtt--
+	}
+}
+
 // Delete removes block b — a block that went silent between epochs.
 func (c *Catchment) Delete(b ipv4.Block) {
 	if id := c.id(b); id >= 0 {
-		if c.csites[id] >= 0 {
-			c.csites[id] = -1
-			c.cn--
-		}
-		if c.crtts != nil && c.crtts[id] != 0 {
-			c.crtts[id] = 0
-			c.cnrtt--
-		}
+		c.DeleteAt(id)
 		return
 	}
 	delete(c.sites, b)
 	delete(c.rtts, b)
+}
+
+// The id accessors below read and write the columns directly by dense
+// id, skipping the block → id search. They are for callers that already
+// hold ids of the catchment's own index — the monitor's epoch loop,
+// which checks IndexedOver once per epoch; an id outside the index
+// panics.
+
+// IndexedOver reports whether every entry lives in columns keyed by ix:
+// the catchment was built over ix and has no map tail.
+func (c *Catchment) IndexedOver(ix *colstore.Index) bool {
+	return ix != nil && c.ix == ix && len(c.sites) == 0
+}
+
+// SiteAt returns the site of columnar id, ok=false when unmapped.
+func (c *Catchment) SiteAt(id int) (int, bool) {
+	s := c.csites[id]
+	return int(s), s >= 0
+}
+
+// RTTAt returns the RTT recorded for columnar id, 0 when none.
+func (c *Catchment) RTTAt(id int) time.Duration {
+	if c.crtts == nil {
+		return 0
+	}
+	return time.Duration(c.crtts[id])
+}
+
+// CopyAt overwrites columnar id's entry with o's — site and RTT, or
+// absence. c and o must share an index.
+func (c *Catchment) CopyAt(o *Catchment, id int) {
+	if s := o.csites[id]; s >= 0 {
+		c.reassignAt(id, s, o.RTTAt(id))
+	} else {
+		c.DeleteAt(id)
+	}
+}
+
+// DeleteAt removes columnar id's entry.
+func (c *Catchment) DeleteAt(id int) {
+	if c.csites[id] >= 0 {
+		c.csites[id] = -1
+		c.cn--
+	}
+	if c.crtts != nil && c.crtts[id] != 0 {
+		c.crtts[id] = 0
+		c.cnrtt--
+	}
 }
 
 // Equal reports whether two catchments record exactly the same blocks,

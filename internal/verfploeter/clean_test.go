@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"verfploeter/internal/colstore"
 	"verfploeter/internal/dataplane"
 	"verfploeter/internal/faults"
 	"verfploeter/internal/hitlist"
@@ -50,11 +51,11 @@ func Clean(replies []reply, probed map[ipv4.Addr]bool, roundID uint16, cutoff ti
 // source that only ever sent aliases (another target's sequence) maps
 // site-only to its first one. Statistics come from Clean over the same
 // stream.
-func referenceFold(chunks []probeChunk, hl *hitlist.Hitlist, sub *ipv4.BlockSet, pos32 []uint32, sendNS []int64, retries, nSite int, roundID uint16, cutoff time.Duration) (*Catchment, CleanStats) {
+func referenceFold(chunks []probeChunk, hl *hitlist.Hitlist, sub *colstore.Bitset, pos32 []uint32, sendNS []int64, retries, nSite int, roundID uint16, cutoff time.Duration) (*Catchment, CleanStats) {
 	probed := make(map[ipv4.Addr]bool)
 	idOf := make(map[ipv4.Addr]int)
 	for id, e := range hl.Entries {
-		if sub == nil || sub.Contains(e.Addr.Block()) {
+		if sub == nil || sub.Contains(id) {
 			probed[e.Addr] = true
 			idOf[e.Addr] = id
 		}
@@ -109,12 +110,13 @@ func checkFoldMatchesClean(t *testing.T, retries int, subset bool) {
 		cfg.Retries = retries
 	}
 	if subset {
-		cfg.Subset = ipv4.NewBlockSet(w.hl.Len())
+		sub := ipv4.NewBlockSet(w.hl.Len())
 		for i, e := range w.hl.Entries {
 			if i%3 != 0 {
-				cfg.Subset.Add(e.Addr.Block())
+				sub.Add(e.Addr.Block())
 			}
 		}
+		cfg.Subset = w.hl.Index().SetOf(sub)
 	}
 	if err := cfg.fill(); err != nil {
 		t.Fatal(err)
@@ -332,12 +334,13 @@ func TestStreamShardsDropRules(t *testing.T) {
 	w := newWorld(t, 7, dataplane.Impairments{BaseRTT: 5 * time.Millisecond})
 	chunks, pos32, sendNS := foldFixture(t, w)
 	n := w.hl.Len()
-	sub := ipv4.NewBlockSet(n)
+	blocks := ipv4.NewBlockSet(n)
 	for id, e := range w.hl.Entries {
 		if id != 4 {
-			sub.Add(e.Addr.Block())
+			blocks.Add(e.Addr.Block())
 		}
 	}
+	sub := w.hl.Index().SetOf(blocks)
 	ref, refStats := referenceFold(chunks, w.hl, sub, pos32, sendNS, 0, fixtureSites, fixtureRound, fixtureCutoff)
 	want := fixtureStats(n)
 	want.Unsolicited, want.Kept = 2, n-1

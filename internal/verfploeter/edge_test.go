@@ -1,9 +1,11 @@
 package verfploeter
 
 import (
+	"errors"
 	"testing"
 	"time"
 
+	"verfploeter/internal/colstore"
 	"verfploeter/internal/dataplane"
 	"verfploeter/internal/ipv4"
 )
@@ -15,7 +17,7 @@ import (
 func TestRunEmptySubset(t *testing.T) {
 	w := newWorld(t, 3, dataplane.Impairments{BaseRTT: 5 * time.Millisecond})
 	cfg := w.config(1)
-	cfg.Subset = ipv4.NewBlockSet(0)
+	cfg.Subset = w.hl.Index().SetOf(ipv4.NewBlockSet(0))
 	catch, stats, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +66,7 @@ func TestRunSingleBlockSubset(t *testing.T) {
 	sub.Add(block)
 	sub.Add(w.top.Blocks[target-1].Block)
 	cfg := w.config(1)
-	cfg.Subset = sub
+	cfg.Subset = w.hl.Index().SetOf(sub)
 	part, stats, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -81,5 +83,18 @@ func TestRunSingleBlockSubset(t *testing.T) {
 	}
 	if gotRTT, _ := part.RTTOf(block); gotRTT != wantRTT {
 		t.Errorf("subset RTT %v, full sweep %v", gotRTT, wantRTT)
+	}
+}
+
+// TestRunSubsetSizeMismatch: a subset is a set of hitlist ids, so one
+// built over another universe is a configuration error, not a sweep of
+// whatever ids happen to overlap.
+func TestRunSubsetSizeMismatch(t *testing.T) {
+	w := newWorld(t, 3, dataplane.Impairments{BaseRTT: 5 * time.Millisecond})
+	cfg := w.config(1)
+	cfg.Subset = colstore.NewBitset(w.hl.Len() + 1)
+	if _, _, err := Run(cfg); !errors.Is(err, ErrConfig) {
+		t.Fatalf("Run with a %d-id subset over a %d-entry hitlist: err = %v, want ErrConfig",
+			cfg.Subset.Size(), w.hl.Len(), err)
 	}
 }

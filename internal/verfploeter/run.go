@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -57,8 +58,9 @@ type Config struct {
 	// in chunk/shard order.
 	Workers int
 
-	// Subset restricts the sweep to hitlist entries whose /24 block is in
-	// the set; nil probes the full hitlist. Partial sweeps keep the full
+	// Subset restricts the sweep to the hitlist entries whose dense id
+	// (entry index) is in the set, a Bitset over [0, Hitlist.Len()); nil
+	// probes the full hitlist. Partial sweeps keep the full
 	// sweep's probe permutation, chunk boundaries, and per-target sequence
 	// numbers — excluded positions are skipped, never renumbered — so each
 	// probed block draws exactly the coins (responsiveness, loss, alias,
@@ -67,7 +69,9 @@ type Config struct {
 	// not send time. This is the contract that lets continuous monitoring
 	// stitch partial re-probe results into a map byte-identical to an
 	// always-full re-probe. An empty (non-nil) subset probes nothing.
-	Subset *ipv4.BlockSet
+	// A subset sweep costs what it probes: members find their positions
+	// through the inverse permutation instead of a scan of all n.
+	Subset *colstore.Bitset
 
 	// Retries is the per-target retransmission budget for loss-aware
 	// probing: after the initial sweep, targets that have not answered are
@@ -177,6 +181,9 @@ func (cfg *Config) fill() error {
 	if cfg.Cutoff <= 0 {
 		cfg.Cutoff = DefaultCutoff
 	}
+	if cfg.Subset != nil && cfg.Subset.Size() != cfg.Hitlist.Len() {
+		return fmt.Errorf("%w: subset over %d ids, hitlist has %d", ErrConfig, cfg.Subset.Size(), cfg.Hitlist.Len())
+	}
 	if cfg.Retries < 0 {
 		return fmt.Errorf("%w: negative Retries", ErrConfig)
 	}
@@ -230,13 +237,20 @@ func Run(cfg Config) (*Catchment, Stats, error) {
 // replies plus the columnar send state, indexed by the hitlist's dense
 // block id (entry order == ascending block order == columnar id). pos32
 // maps id → full-permutation position (the base of sequence-number
-// arithmetic); sendNS maps id → last probe send time in ns (-1 = never
-// probed).
+// arithmetic; noPos for ids outside a subset sweep); sendNS maps id →
+// last probe send time in ns (-1 = never probed). posBits, set only for
+// subset sweeps, marks the positions whose target is a member.
 type round struct {
-	chunks []probeChunk
-	pos32  []uint32
-	sendNS []int64
+	chunks  []probeChunk
+	pos32   []uint32
+	sendNS  []int64
+	posBits []uint64
 }
+
+// noPos is pos32's entry for an id a subset sweep leaves out: it lies
+// past every chunk, so retryMissing and sentAtNS treat the id as
+// unprobed.
+const noPos = ^uint32(0)
 
 // probe runs the chunked sweep of a filled config and returns its
 // replies and probe statistics (Clean, MedianRTT and Responded are left
@@ -249,12 +263,16 @@ func probe(cfg *Config) (*round, Stats, error) {
 	// so they write sendNS without locks or merges. The same holds for
 	// building pos32: a position range scatters into disjoint ids.
 	rd := &round{pos32: make([]uint32, n), sendNS: make([]int64, n)}
-	parallel.Chunked(cfg.Workers, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			rd.pos32[perm.Index(i)] = uint32(i)
-			rd.sendNS[i] = -1
-		}
-	})
+	if cfg.Subset == nil {
+		parallel.Chunked(cfg.Workers, n, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				rd.pos32[perm.Index(i)] = uint32(i)
+				rd.sendNS[i] = -1
+			}
+		})
+	} else {
+		rd.placeSubset(cfg.Workers, perm, cfg.Subset)
+	}
 
 	// Chunked sweep: chunk c probes permutation positions [lo, hi) on a
 	// fork of the data plane whose clock starts at the virtual time the
@@ -283,7 +301,7 @@ func probe(cfg *Config) (*round, Stats, error) {
 			}
 			ch.replies = append(ch.replies, reply{At: at, Src: from, Blk: int32(blk), Site: int16(site), Ident: ident, Seq: seq})
 		})
-		sp := cfg.span(perm, lo, hi)
+		sp := rd.span(lo, hi)
 		ch.stats.Targets = sp.count()
 		ch.replies = make([]reply, 0, sp.count())
 		ch.err = sweep(net, clock, cfg, perm, sp, rd.sendNS, &ch.stats)
@@ -354,7 +372,8 @@ func retryMissing(net *dataplane.Net, clock *vclock.Clock, cfg *Config,
 		// whose source is a hitlist address marks that address's own
 		// permutation position — which lives in this chunk unless the
 		// reply was cross-block aliased, in which case it cannot match
-		// any of this chunk's targets anyway.
+		// any of this chunk's targets anyway. An id outside a subset
+		// sweep holds noPos, which lies in no chunk.
 		now := clock.Now()
 		for i := range answered {
 			answered[i] = false
@@ -463,17 +482,47 @@ func (sp chunkSpan) pos(k int) int {
 	return sp.lo + k
 }
 
-// span materializes the chunk's probe positions under the configured
-// subset (all of [lo, hi) when Subset is nil).
-func (cfg *Config) span(perm *rng.Permutation, lo, hi int) chunkSpan {
+// placeSubset places only a subset sweep's members on the probe
+// permutation: each member id takes its position from the inverse
+// permutation, and that position's bit is set in posBits. Non-members
+// hold noPos. The Feistel work is O(|subset|), not O(n).
+func (rd *round) placeSubset(workers int, perm *rng.Permutation, sub *colstore.Bitset) {
+	parallel.Chunked(workers, len(rd.pos32), func(lo, hi int) {
+		for id := lo; id < hi; id++ {
+			rd.sendNS[id] = -1
+			rd.pos32[id] = noPos
+			if sub.Contains(id) {
+				rd.pos32[id] = uint32(perm.Inverse(id))
+			}
+		}
+	})
+	// Members scatter across positions, so the bitmap is filled in one
+	// sequential pass rather than with contended atomic writes.
+	rd.posBits = make([]uint64, (len(rd.pos32)+63)/64)
+	sub.Range(func(id int) bool {
+		p := rd.pos32[id]
+		rd.posBits[p>>6] |= 1 << (p & 63)
+		return true
+	})
+}
+
+// span materializes the chunk's probe positions: all of [lo, hi) for a
+// full sweep, else the member positions read off posBits in ascending
+// order (lo is a multiple of probeChunkTargets, hence word-aligned).
+func (rd *round) span(lo, hi int) chunkSpan {
 	sp := chunkSpan{lo: lo, hi: hi}
-	if cfg.Subset == nil {
+	if rd.posBits == nil {
 		return sp
 	}
-	sp.incl = make([]int, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		if cfg.Subset.Contains(cfg.Hitlist.Entries[perm.Index(i)].Addr.Block()) {
-			sp.incl = append(sp.incl, i)
+	words := rd.posBits[lo>>6 : (hi+63)>>6]
+	count := 0
+	for _, w := range words {
+		count += bits.OnesCount64(w)
+	}
+	sp.incl = make([]int, 0, count)
+	for k, w := range words {
+		for ; w != 0; w &= w - 1 {
+			sp.incl = append(sp.incl, lo+k<<6+bits.TrailingZeros64(w))
 		}
 	}
 	return sp
@@ -632,7 +681,7 @@ func sentAtNS(sendNS []int64, pos32 []uint32, id, ci int) int64 {
 // ids because they shard by block), so there is no per-shard fragment
 // map and no merge pass — only a counter recount and a shard-ordered
 // stats sum after the parallel region.
-func foldChunksSubset(chunks []probeChunk, hl *hitlist.Hitlist, sub *ipv4.BlockSet, pos32 []uint32, sendNS []int64, retries int, nSite int, roundID uint16, cutoff time.Duration, workers int) (*Catchment, CleanStats) {
+func foldChunksSubset(chunks []probeChunk, hl *hitlist.Hitlist, sub *colstore.Bitset, pos32 []uint32, sendNS []int64, retries int, nSite int, roundID uint16, cutoff time.Duration, workers int) (*Catchment, CleanStats) {
 	ix := hl.Index()
 	catch := NewIndexedCatchment(nSite, ix)
 	catch.ensureRTTs()
@@ -659,7 +708,7 @@ func foldChunksSubset(chunks []probeChunk, hl *hitlist.Hitlist, sub *ipv4.BlockS
 				// representative (and inside the subset, if any).
 				id := hitlistID(ix, b, r.Blk)
 				probed := id >= 0 && hl.Entries[id].Addr == r.Src &&
-					(sub == nil || sub.Contains(b))
+					(sub == nil || sub.Contains(id))
 				switch {
 				case r.Ident != roundID:
 					st.WrongRound++

@@ -43,6 +43,16 @@ fi
 echo "== vpbench module: go vet + go test"
 (cd vpbench && go vet ./... && go test ./...)
 
+# Fuzz smoke: the series decoder (monitor output, vp-server's saved
+# series) reads untrusted bytes. A short fixed-time run of its native
+# fuzz target must find no panic, no untyped error and no round-trip
+# difference; a crasher lands in internal/dataset/testdata/fuzz/ and
+# must be committed with its fix. Minimization is capped so a new
+# corpus entry cannot eat the whole budget.
+echo "== fuzz smoke (FuzzReadSeries, 15s)"
+go test ./internal/dataset -run '^$' -fuzz '^FuzzReadSeries$' -fuzztime 15s \
+	-fuzzminimizetime 1s -parallel 2
+
 # Faults smoke: a fixed-seed lossy run must reproduce its golden
 # response-rate line exactly — the fault layer's determinism contract
 # (same profile seed => same drops at any worker count) collapsed to one
@@ -307,5 +317,12 @@ allocs_gate BGPCompute 90 5x
 # is per-chunk sweep state. Budget: the larger of 1,551 (-cpu 1) and
 # 1,566 (-cpu 2) allocs/op, measured 2026-10 on a 2-vCPU container.
 allocs_gate InternetSweep 1566 3x
+
+# PredictEpoch: one stable fused monitor epoch at the medium tier. The
+# id-keyed epoch keeps its sets in dense bitsets and reads catchment
+# columns by id, so what is left is per-sweep state (6.4k allocs/op
+# before). Budget: the larger of 187 (-cpu 1) and 205 (-cpu 2)
+# allocs/op over 8 epochs, measured 2026-10 on a 2-vCPU container.
+allocs_gate PredictEpoch 205 8x
 
 echo "check.sh: all green"
